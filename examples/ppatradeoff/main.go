@@ -48,7 +48,7 @@ func main() {
 	report := func(name string, r almost.Recipe) {
 		net := r.Apply(locked)
 		ppa := almost.PPA(net, false)
-		acc := proxy.Attack.Accuracy(net, key)
+		acc := proxy.Attack.AccuracyBatch(net, key)
 		fmt.Printf("%-50s %8.1f² %7.3fn %7.2fµ %7.1f%%\n",
 			name, ppa.Area, ppa.Delay, ppa.Power, acc*100)
 	}

@@ -3,7 +3,6 @@ package aig
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 )
 
 // simGate is one AND evaluation in a levelized schedule: read the two
@@ -47,16 +46,6 @@ type SimScratch struct {
 	// width changes. SignaturesInto then maintains only the suffix.
 	rowsBase *uint64
 	rowsW    int
-
-	// Workers caps the number of goroutines a wide simulation may use.
-	// Zero or one means serial; values above one let SimulateWordsInto
-	// shard the word columns of its value buffer across that many
-	// workers when the simulation is wide enough to pay for the fan-out.
-	// Each worker runs the full levelized schedule over a disjoint word
-	// range, so shard results are written to disjoint columns and every
-	// word is computed by exactly the arithmetic the serial path would
-	// use — results are bit-for-bit identical for any Workers value.
-	Workers int
 }
 
 // Reset drops the cached schedule and delta state and releases no
@@ -203,22 +192,13 @@ func simCore(sched []simGate, vals []uint64, w int) {
 		}
 		return
 	}
-	simCoreRange(sched, vals, w, 0, w)
-}
-
-// simCoreRange runs the schedule over word columns [k0, k1) of a
-// node-major value buffer with stride w. Complementation is a branch-free
-// XOR with an all-ones mask — `a^0 == a` and `a^^uint64(0) == ^a`, so
-// each word's value is bit-identical to the branching form. Distinct
-// ranges touch disjoint columns, which is what makes the worker-tiled
-// dispatch race-free without any synchronization inside the schedule.
-//
-//almost:hotpath
-func simCoreRange(sched []simGate, vals []uint64, w, k0, k1 int) {
+	// Wide path: complementation is a branch-free XOR with an all-ones
+	// mask — `a^0 == a` and `a^^uint64(0) == ^a`, so each word's value is
+	// bit-identical to the branching form above.
 	for _, op := range sched {
-		av := vals[int(op.f0>>1)*w:][k0:k1]
-		bv := vals[int(op.f1>>1)*w:][k0:k1]
-		out := vals[int(op.out)*w:][k0:k1]
+		av := vals[int(op.f0>>1)*w:][:w]
+		bv := vals[int(op.f1>>1)*w:][:w]
+		out := vals[int(op.out)*w:][:w]
 		var am, bm uint64
 		if op.f0&1 != 0 {
 			am = ^uint64(0)
@@ -230,47 +210,6 @@ func simCoreRange(sched []simGate, vals []uint64, w, k0, k1 int) {
 			out[k] = (av[k] ^ am) & (bv[k] ^ bm)
 		}
 	}
-}
-
-// Word-tiling thresholds: sharding pays only when each worker gets a
-// meaningful run of contiguous words per gate and the total work
-// amortizes the goroutine fan-out.
-const (
-	minShardWords = 8       // minimum word columns per worker
-	simParGrain   = 1 << 16 // minimum sched×words work before fanning out
-)
-
-// simWorkers returns the number of word-range shards a simulation of
-// width w over sched should use under the scratch's Workers budget.
-func (s *SimScratch) simWorkers(sched []simGate, w int) int {
-	if s.Workers <= 1 || len(sched)*w < simParGrain {
-		return 1
-	}
-	n := min(s.Workers, w/minShardWords)
-	return max(n, 1)
-}
-
-// simCoreTiled runs the schedule with the word columns split into
-// `shards` balanced contiguous ranges, one goroutine each. Every column
-// is owned by exactly one shard and per-column arithmetic is unchanged,
-// so the result equals the serial simCore bit for bit.
-func simCoreTiled(sched []simGate, vals []uint64, w, shards int) {
-	var wg sync.WaitGroup
-	q, r := w/shards, w%shards
-	k0 := 0
-	for i := 0; i < shards; i++ {
-		k1 := k0 + q
-		if i < r {
-			k1++
-		}
-		wg.Add(1)
-		go func(k0, k1 int) {
-			defer wg.Done()
-			simCoreRange(sched, vals, w, k0, k1)
-		}(k0, k1)
-		k0 = k1
-	}
-	wg.Wait()
 }
 
 // SimulateInto is the scratch-reusing core of Simulate64: 64-way
@@ -352,11 +291,6 @@ func (g *AIG) Simulate64(in []uint64) []uint64 {
 // pass the previous return value to reuse them. The result rows are
 // caller-owned (they do not alias the scratch). s must not be nil.
 //
-// When s.Workers is above one and the simulation is wide enough, the
-// word columns are sharded across that many goroutines (see
-// SimScratch.Workers); results are bit-for-bit identical to the serial
-// path for any budget.
-//
 //almost:hotpath
 func (g *AIG) SimulateWordsInto(s *SimScratch, dst [][]uint64, in [][]uint64, w int) [][]uint64 {
 	if len(in) != len(g.pis) {
@@ -378,11 +312,7 @@ func (g *AIG) SimulateWordsInto(s *SimScratch, dst [][]uint64, in [][]uint64, w 
 	for i, id := range g.pis {
 		copy(vals[id*w:id*w+w], in[i][:w])
 	}
-	if shards := s.simWorkers(sched, w); shards > 1 {
-		simCoreTiled(sched, vals, w, shards)
-	} else {
-		simCore(sched, vals, w)
-	}
+	simCore(sched, vals, w)
 	s.simNodes, s.simSched, s.valsW = len(g.nodes), len(sched), w
 	if cap(dst) < len(g.pos) {
 		dst = make([][]uint64, len(g.pos))

@@ -14,11 +14,7 @@ import (
 
 // BenchmarkSimulateWordsRand100k measures bit-parallel simulation of the
 // 100k-gate synthetic netlist at 1, 16, and 256 words per signal (64 to
-// 16384 patterns), serial versus a 4-worker word-tiling budget — the
-// BENCH_pr10.json wide-simulation rows. Workers shard disjoint word
-// columns of the same schedule, so outputs are bit-identical (gated by
-// TestSimulateWordsTiledBitIdentity); on a single-CPU host the tiled
-// rows measure scheduling overhead, not speedup.
+// 16384 patterns) — the BENCH_pr10.json wide-simulation rows.
 //
 //	go test -run=^$ -bench=BenchmarkSimulateWordsRand100k -benchmem ./internal/aig
 func BenchmarkSimulateWordsRand100k(b *testing.B) {
@@ -32,20 +28,15 @@ func BenchmarkSimulateWordsRand100k(b *testing.B) {
 				in[i][k] = rng.Uint64()
 			}
 		}
-		for _, workers := range []int{1, 4} {
-			if workers > 1 && w == 1 {
-				continue // single-word simulation never tiles
+		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) {
+			var s aig.SimScratch
+			var dst [][]uint64
+			dst = g.SimulateWordsInto(&s, dst, in, w) // warm schedule + buffers
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dst = g.SimulateWordsInto(&s, dst, in, w)
 			}
-			b.Run(fmt.Sprintf("w=%d/workers=%d", w, workers), func(b *testing.B) {
-				s := aig.SimScratch{Workers: workers}
-				var dst [][]uint64
-				dst = g.SimulateWordsInto(&s, dst, in, w) // warm schedule + buffers
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					dst = g.SimulateWordsInto(&s, dst, in, w)
-				}
-			})
-		}
+		})
 	}
 }

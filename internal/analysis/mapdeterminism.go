@@ -8,11 +8,10 @@ import (
 // determinismPackages are the packages whose result-reduction paths
 // promise bit-for-bit identical output for any Parallelism (the PR 1/5
 // trajectory invariant). The batched-inference layers (gnn, omla,
-// subgraph) are included because the fused attack pass promises
-// bit-identity with the scalar path — a map-ordered fold anywhere in
-// extraction, packing, or readout would break the trajectory identity
-// suites. Matched by the last path element so testdata stand-ins
-// qualify too.
+// subgraph) are included because the search trajectories are pinned by
+// golden tests — a map-ordered fold anywhere in extraction, packing, or
+// readout would break them. Matched by the last path element so
+// testdata stand-ins qualify too.
 var determinismPackages = []string{
 	"engine", "anneal", "core", "experiments", "service",
 	"gnn", "omla", "subgraph",

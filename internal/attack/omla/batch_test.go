@@ -20,43 +20,45 @@ func tinyAttack(t testing.TB, locked *aig.AIG) *Attack {
 	return Train(locked, synth.Resyn2(), cfg)
 }
 
-// TestPredictKeyBatchBitIdentity gates the fused attack pass: batched
-// key prediction and accuracy must equal the scalar per-gate loop
-// exactly, including across scratch reuse and circuit swaps.
+// TestPredictKeyBatchBitIdentity gates the fused attack pass: the key
+// predicted over one batch of every key gate must equal scoring each key
+// gate as a batch of one, and the fused accuracy must equal
+// lock.Accuracy over that key — exactly, across scratch reuse and
+// circuit swaps.
 func TestPredictKeyBatchBitIdentity(t *testing.T) {
 	g1, key1 := lock.Lock(circuits.MustGenerate("c432"), 16, rand.New(rand.NewSource(1)))
 	g2, key2 := lock.Lock(circuits.MustGenerate("c880"), 24, rand.New(rand.NewSource(2)))
 	atk := tinyAttack(t, g1)
 	var bs BatchScratch
+	var one BatchScratch
 	for round := 0; round < 2; round++ {
 		for _, tc := range []struct {
 			g     *aig.AIG
 			truth lock.Key
 		}{{g1, key1}, {g2, key2}} {
-			scalarKey := atk.PredictKey(tc.g)
 			batchKey := atk.PredictKeyBatchWith(&bs, tc.g)
-			if len(batchKey) != len(scalarKey) {
-				t.Fatalf("batched key has %d bits, scalar %d", len(batchKey), len(scalarKey))
+			kis := tc.g.KeyInputIndices()
+			if len(batchKey) != len(kis) {
+				t.Fatalf("batched key has %d bits, want %d", len(batchKey), len(kis))
 			}
-			for i := range scalarKey {
-				if batchKey[i] != scalarKey[i] {
-					t.Fatalf("round %d: key bit %d differs (batched %v, scalar %v)", round, i, batchKey[i], scalarKey[i])
+			for i, ki := range kis {
+				b := atk.Ext.ForKeyInputsInto(&one.Sub, tc.g, []int{ki}, nil)
+				p := atk.Model.PredictProbBatchWith(&one.NN, b, nil)[0]
+				if batchKey[i] != (p >= 0.5) {
+					t.Fatalf("round %d: key bit %d differs from its batch of one", round, i)
 				}
 			}
-			if ba, sa := atk.AccuracyBatchWith(&bs, tc.g, tc.truth), atk.Accuracy(tc.g, tc.truth); ba != sa {
-				t.Fatalf("round %d: batched accuracy %v != scalar %v", round, ba, sa)
+			if got, want := atk.AccuracyBatchWith(&bs, tc.g, tc.truth), lock.Accuracy(tc.truth, batchKey); got != want {
+				t.Fatalf("round %d: fused accuracy %v != lock.Accuracy %v", round, got, want)
 			}
 		}
 	}
-	// nil-scratch conveniences agree too.
-	if ba, sa := atk.AccuracyBatch(g1, key1), atk.Accuracy(g1, key1); ba != sa {
-		t.Fatalf("nil-scratch batched accuracy %v != scalar %v", ba, sa)
+	// A nil scratch agrees too.
+	if got, want := atk.AccuracyBatch(g1, key1), atk.AccuracyBatchWith(&bs, g1, key1); got != want {
+		t.Fatalf("nil-scratch accuracy %v != %v", got, want)
 	}
-	k := atk.PredictKeyBatch(g1)
-	for i, bit := range atk.PredictKey(g1) {
-		if k[i] != bit {
-			t.Fatalf("nil-scratch batched key bit %d differs", i)
-		}
+	if got, want := atk.PredictKeyBatchWith(nil, g1), atk.PredictKeyBatchWith(&bs, g1); got.String() != want.String() {
+		t.Fatalf("nil-scratch key %s != %s", got, want)
 	}
 }
 

@@ -5,38 +5,23 @@ import (
 	"testing"
 
 	"github.com/nyu-secml/almost/internal/circuits"
-	"github.com/nyu-secml/almost/internal/gnn"
 	"github.com/nyu-secml/almost/internal/lock"
 )
 
 // BenchmarkAttackPass measures one full attack scoring pass — extract
-// every key-gate locality and run GIN inference on each — the
-// per-candidate cost inside the Eq. 1 search loop. scalar is the
-// per-gate loop over pooled scratch matrices; batched is the fused pass
-// of this PR (one packed extraction, one blocked forward). Both rows are
-// bit-identical in output (gated by TestPredictKeyBatchBitIdentity); the
-// BENCH_pr10.json "per-step attack scoring" rows.
+// every key-gate locality into one packed batch and run one blocked GIN
+// forward over it — the per-candidate cost inside the Eq. 1 search loop;
+// the BENCH_pr10.json "per-step attack scoring" row.
 //
 //	go test -run=^$ -bench=BenchmarkAttackPass -benchmem ./internal/attack/omla
 func BenchmarkAttackPass(b *testing.B) {
 	locked, key := lock.Lock(circuits.MustGenerate("c880"), 64, rand.New(rand.NewSource(5)))
 	atk := tinyAttack(b, locked)
-	b.Run("inference=scalar", func(b *testing.B) {
-		var sc gnn.Scratch
-		atk.AccuracyWith(&sc, locked, key) // warm
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			atk.AccuracyWith(&sc, locked, key)
-		}
-	})
-	b.Run("inference=batched", func(b *testing.B) {
-		var bs BatchScratch
-		atk.AccuracyBatchWith(&bs, locked, key) // warm
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			atk.AccuracyBatchWith(&bs, locked, key)
-		}
-	})
+	var bs BatchScratch
+	atk.AccuracyBatchWith(&bs, locked, key) // warm
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		atk.AccuracyBatchWith(&bs, locked, key)
+	}
 }

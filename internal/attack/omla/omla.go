@@ -63,10 +63,14 @@ func GenerateData(locked *aig.AIG, recipeFor func(round int) synth.Recipe,
 
 // GenerateDataCtx is the cancellable variant of GenerateData: the context
 // is checked before every relock/resynthesize round, and on cancellation
-// the rounds completed so far are returned alongside ctx.Err().
+// the rounds completed so far are returned alongside ctx.Err(). Each
+// round's localities are extracted as one packed batch and unpacked into
+// training graphs.
 func GenerateDataCtx(ctx context.Context, locked *aig.AIG, recipeFor func(round int) synth.Recipe,
 	rounds, gatesPerRound int, ext subgraph.Extractor, rng *rand.Rand) ([]*gnn.Graph, error) {
 	var data []*gnn.Graph
+	var sc subgraph.Scratch
+	var b gnn.Batch
 	for r := 0; r < rounds; r++ {
 		if err := ctx.Err(); err != nil {
 			return data, err
@@ -78,7 +82,7 @@ func GenerateDataCtx(ctx context.Context, locked *aig.AIG, recipeFor func(round 
 		for i, ko := range keyOrder {
 			kis[i] = kisAll[ko]
 		}
-		data = append(data, ext.Labeled(resynth, kis, bits)...)
+		data = append(data, ext.LabeledInto(&sc, resynth, kis, bits, &b).Unpack()...)
 	}
 	return data, nil
 }
@@ -150,25 +154,6 @@ func TrainOnDataCtx(ctx context.Context, data []*gnn.Graph, cfg Config,
 	return atk, nil
 }
 
-// PredictKeyWith predicts every key bit of the netlist, in key-input
-// order, using sc's pooled inference matrices (nil for a private
-// scratch). Predictions are bit-for-bit identical for any scratch.
-//
-//almost:hotpath
-func (a *Attack) PredictKeyWith(sc *gnn.Scratch, g *aig.AIG) lock.Key {
-	gs := a.Ext.All(g)
-	key := make(lock.Key, len(gs)) //almost:nolint hotpathalloc // the returned key is caller-owned by contract
-	for i, sg := range gs {
-		key[i] = a.Model.PredictWith(sc, sg) == 1
-	}
-	return key
-}
-
-// PredictKey predicts every key bit of the netlist, in key-input order.
-func (a *Attack) PredictKey(g *aig.AIG) lock.Key {
-	return a.PredictKeyWith(nil, g)
-}
-
 // BatchScratch bundles the reusable state of one fused attack pass: the
 // batched extraction scratch, the pooled inference matrices, the packed
 // batch itself, and the probability buffer. One BatchScratch per engine
@@ -180,20 +165,29 @@ type BatchScratch struct {
 	probs []float64
 }
 
-// PredictKeyBatchWith predicts every key bit of the netlist in one fused
-// pass: all key-gate localities are extracted into a single packed batch
-// (sharing the fanout index and BFS scratch) and pushed through the GIN
-// stack as blocked matmuls. bs may be nil for a private scratch.
-// Predictions are bit-for-bit identical to PredictKeyWith — the batched
-// extraction and forward reproduce the scalar arithmetic row for row.
+// predict runs the fused pass over every key gate of g, leaving P(bit=1)
+// per key input in bs.probs. It returns bs, allocating one if nil.
 //
 //almost:hotpath
-func (a *Attack) PredictKeyBatchWith(bs *BatchScratch, g *aig.AIG) lock.Key {
+func (a *Attack) predict(bs *BatchScratch, g *aig.AIG) *BatchScratch {
 	if bs == nil {
 		bs = &BatchScratch{}
 	}
 	b := a.Ext.AllInto(&bs.Sub, g, &bs.batch)
 	bs.probs = a.Model.PredictProbBatchWith(&bs.NN, b, bs.probs[:0])
+	return bs
+}
+
+// PredictKeyBatchWith predicts every key bit of the netlist, in key-input
+// order, in one fused pass: all key-gate localities are extracted into a
+// single packed batch (sharing the fanout index and BFS scratch) and
+// pushed through the GIN stack as blocked matmuls. bs may be nil for a
+// private scratch; predictions are bit-for-bit identical for any
+// scratch.
+//
+//almost:hotpath
+func (a *Attack) PredictKeyBatchWith(bs *BatchScratch, g *aig.AIG) lock.Key {
+	bs = a.predict(bs, g)
 	key := make(lock.Key, len(bs.probs)) //almost:nolint hotpathalloc // the returned key is caller-owned by contract
 	for i, p := range bs.probs {
 		key[i] = p >= 0.5
@@ -201,24 +195,15 @@ func (a *Attack) PredictKeyBatchWith(bs *BatchScratch, g *aig.AIG) lock.Key {
 	return key
 }
 
-// PredictKeyBatch predicts every key bit in one fused batch pass.
-func (a *Attack) PredictKeyBatch(g *aig.AIG) lock.Key {
-	return a.PredictKeyBatchWith(nil, g)
-}
-
 // AccuracyBatchWith attacks g through the fused batch seam and scores
 // the prediction against the true key without allocating the
-// intermediate key (the per-candidate evaluation of the Eq. 1 search).
-// Bit-for-bit identical to AccuracyWith. bs may be nil for a private
-// scratch.
+// intermediate key — the per-candidate evaluation of the Eq. 1 search,
+// where the engine hands every worker its own scratch. bs may be nil for
+// a private scratch.
 //
 //almost:hotpath
 func (a *Attack) AccuracyBatchWith(bs *BatchScratch, g *aig.AIG, truth lock.Key) float64 {
-	if bs == nil {
-		bs = &BatchScratch{}
-	}
-	b := a.Ext.AllInto(&bs.Sub, g, &bs.batch)
-	bs.probs = a.Model.PredictProbBatchWith(&bs.NN, b, bs.probs[:0])
+	bs = a.predict(bs, g)
 	// Fold exactly as lock.Accuracy does over a predicted key.
 	if len(truth) == 0 {
 		return 0
@@ -232,37 +217,10 @@ func (a *Attack) AccuracyBatchWith(bs *BatchScratch, g *aig.AIG, truth lock.Key)
 	return float64(n) / float64(len(truth))
 }
 
-// AccuracyBatch attacks g through the fused batch seam and scores the
-// prediction against the true key.
+// AccuracyBatch attacks g and scores the prediction against the true key
+// — the headline metric of Tables I and II.
 func (a *Attack) AccuracyBatch(g *aig.AIG, truth lock.Key) float64 {
 	return a.AccuracyBatchWith(nil, g, truth)
-}
-
-// PredictKeyIndices predicts bits only for the key inputs at the given
-// input indices.
-func (a *Attack) PredictKeyIndices(g *aig.AIG, kis []int) lock.Key {
-	gs := a.Ext.ForKeyInputs(g, kis)
-	key := make(lock.Key, len(gs))
-	for i, sg := range gs {
-		key[i] = a.Model.Predict(sg) == 1
-	}
-	return key
-}
-
-// AccuracyWith attacks g and scores the prediction against the true key
-// using sc's pooled inference matrices (nil for a private scratch) —
-// the per-candidate evaluation of the Eq. 1 search, where the engine
-// hands every worker its own scratch.
-//
-//almost:hotpath
-func (a *Attack) AccuracyWith(sc *gnn.Scratch, g *aig.AIG, truth lock.Key) float64 {
-	return lock.Accuracy(truth, a.PredictKeyWith(sc, g))
-}
-
-// Accuracy attacks g and scores the prediction against the true key —
-// the headline metric of Tables I and II.
-func (a *Attack) Accuracy(g *aig.AIG, truth lock.Key) float64 {
-	return a.AccuracyWith(nil, g, truth)
 }
 
 // AccuracyCtx is the one-shot attack entry: train a fresh attacker
@@ -276,5 +234,5 @@ func AccuracyCtx(ctx context.Context, locked *aig.AIG, recipe synth.Recipe,
 	if err != nil {
 		return 0, err
 	}
-	return atk.Accuracy(locked, truth), nil
+	return atk.AccuracyBatch(locked, truth), nil
 }

@@ -66,7 +66,7 @@ func TestTrainedAttackBeatsRandomGuessing(t *testing.T) {
 	recipe := synth.Resyn2()
 	target := recipe.Apply(locked)
 	atk := Train(target, recipe, cfg)
-	acc := atk.Accuracy(target, key)
+	acc := atk.AccuracyBatch(target, key)
 	if acc < minAcc {
 		t.Fatalf("attack accuracy %.2f%% — want at least %.0f%%", acc*100, minAcc*100)
 	}
@@ -80,8 +80,8 @@ func TestPredictKeyLengthAndDeterminism(t *testing.T) {
 	cfg.Rounds = 2
 	cfg.Epochs = 3
 	atk := Train(locked, synth.Recipe{synth.StepBalance}, cfg)
-	k1 := atk.PredictKey(locked)
-	k2 := atk.PredictKey(locked)
+	k1 := atk.PredictKeyBatchWith(nil, locked)
+	k2 := atk.PredictKeyBatchWith(nil, locked)
 	if len(k1) != 12 {
 		t.Fatalf("predicted key length %d", len(k1))
 	}
@@ -90,6 +90,9 @@ func TestPredictKeyLengthAndDeterminism(t *testing.T) {
 	}
 }
 
+// TestPredictKeyIndicesSubset checks that the packed graphs of a batch
+// are scored independently: predicting a subset of the key inputs gives
+// exactly the corresponding probabilities of the full-key pass.
 func TestPredictKeyIndicesSubset(t *testing.T) {
 	g := circuits.MustGenerate("c432")
 	locked, _ := lock.Lock(g, 8, rand.New(rand.NewSource(7)))
@@ -98,11 +101,12 @@ func TestPredictKeyIndicesSubset(t *testing.T) {
 	cfg.Epochs = 3
 	atk := Train(locked, synth.Recipe{synth.StepBalance}, cfg)
 	kis := locked.KeyInputIndices()
-	full := atk.PredictKey(locked)
-	sub := atk.PredictKeyIndices(locked, kis[2:5])
-	for i, b := range sub {
-		if b != full[2+i] {
-			t.Fatalf("subset prediction differs at %d", i)
+	var sc subgraph.Scratch
+	full := atk.Model.PredictProbBatchWith(nil, atk.Ext.AllInto(&sc, locked, nil), nil)
+	sub := atk.Model.PredictProbBatchWith(nil, atk.Ext.ForKeyInputsInto(&sc, locked, kis[2:5], nil), nil)
+	for i, p := range sub {
+		if p != full[2+i] {
+			t.Fatalf("subset prediction differs at %d: %v vs %v", i, p, full[2+i])
 		}
 	}
 }
@@ -115,7 +119,7 @@ func TestTrainingIsDeterministicForSeed(t *testing.T) {
 	cfg.Epochs = 5
 	a1 := Train(locked, synth.Resyn2(), cfg)
 	a2 := Train(locked, synth.Resyn2(), cfg)
-	if a1.Accuracy(locked, key) != a2.Accuracy(locked, key) {
+	if a1.AccuracyBatch(locked, key) != a2.AccuracyBatch(locked, key) {
 		t.Fatalf("training not deterministic")
 	}
 }

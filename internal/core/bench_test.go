@@ -97,42 +97,3 @@ func BenchmarkSearchObjective(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkEnsembleScoringScalarVsBatched runs the identical Eq. 1
-// ensemble search (omla,scope,redundancy on every candidate) with the
-// omla proxy scored through the scalar per-key-gate loop versus the
-// fused batch pass of this PR — the BENCH_pr10.json per-step ensemble
-// scoring rows. Trajectories are bit-identical either way (gated by
-// TestSearchTrajectoryIdentityScalarVsBatched), so the rows differ only
-// in cost.
-//
-//	go test -run=^$ -bench=BenchmarkEnsembleScoringScalarVsBatched -benchmem ./internal/core
-func BenchmarkEnsembleScoringScalarVsBatched(b *testing.B) {
-	g := circuits.MustGenerate("c432")
-	cfg := DefaultConfig()
-	cfg.Attack.Rounds = 2
-	cfg.Attack.Epochs = 4
-	cfg.SA.Iterations = 8
-	cfg.SAProposals = 2
-	cfg.EvalAttacks = []string{"omla", "scope", "redundancy"}
-	locked, key := lock.Lock(g, 16, rand.New(rand.NewSource(1)))
-	proxy, err := TrainProxyCtx(context.Background(), locked, ModelResyn2, synth.Resyn2(), cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, scalar := range []bool{true, false} {
-		name := "inference=batched"
-		if scalar {
-			name = "inference=scalar"
-		}
-		b.Run(name, func(b *testing.B) {
-			scalarInference = scalar
-			defer func() { scalarInference = false }()
-			for i := 0; i < b.N; i++ {
-				if _, err := SearchRecipeCtx(context.Background(), locked, key, proxy, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

@@ -40,13 +40,6 @@ import (
 // bit-for-bit identical with the incremental prefix-reuse path disabled.
 var engineOpts []engine.Option
 
-// scalarInference is a test hook: when set (before any engine is built),
-// the per-candidate scoring paths fall back to the scalar per-key-gate
-// extraction and forward instead of the fused batch seam. The batched
-// identity suites run full searches both ways and require bit-identical
-// trajectories.
-var scalarInference bool
-
 // ModelKind selects the proxy-attacker training regime (Table I).
 type ModelKind int
 
@@ -274,7 +267,7 @@ func (p *advProblem) Neighbor(r synth.Recipe, rng *rand.Rand) synth.Recipe {
 // extraction + pooled matrices + packed batch) plus the buffers the
 // adversarial energy needs for labeled extraction over chosen key gates.
 type workerState struct {
-	bs     omla.BatchScratch // fused PredictKeyBatch/AccuracyBatch state
+	bs     omla.BatchScratch // fused AccuracyBatchWith state
 	batch  gnn.Batch         // packed labeled localities for advEnergy
 	kisAll []int             // all key-input indices of a candidate
 	kis    []int             // the relocked subset, in keyOrder
@@ -299,8 +292,7 @@ func auxScratch(s *engine.Scratch) *workerState {
 // applied as deltas against the worker's persistent base instead of
 // re-synthesized from scratch. Scoring runs through the fused batch
 // seam: one batched extraction plus one blocked GIN forward over all
-// chosen key gates, reusing the worker's state — bit-for-bit identical
-// to the scalar per-gate path (see the batched identity suites).
+// chosen key gates, reusing the worker's state.
 func advEnergy(model *gnn.Model, keyOrder []int, bits []bool, ext subgraph.Extractor) engine.EvalFunc {
 	return func(g *aig.AIG, s *engine.Scratch, r synth.Recipe) float64 {
 		ws := auxScratch(s)
@@ -313,13 +305,8 @@ func advEnergy(model *gnn.Model, keyOrder []int, bits []bool, ext subgraph.Extra
 		for i, ko := range keyOrder {
 			ws.kis[i] = ws.kisAll[ko]
 		}
-		var loss float64
-		if scalarInference {
-			loss = model.LossWith(&ws.bs.NN, ext.Labeled(resynth, ws.kis, bits))
-		} else {
-			ext.LabeledInto(&ws.bs.Sub, resynth, ws.kis, bits, &ws.batch)
-			loss = model.LossBatchWith(&ws.bs.NN, &ws.batch)
-		}
+		ext.LabeledInto(&ws.bs.Sub, resynth, ws.kis, bits, &ws.batch)
+		loss := model.LossBatchWith(&ws.bs.NN, &ws.batch)
 		s.Release(resynth)
 		return -loss
 	}
@@ -355,6 +342,8 @@ func trainAdversarialCtx(ctx context.Context, locked *aig.AIG, cfg Config,
 	model := gnn.NewModel(gcfg, rand.New(rand.NewSource(cfg.Seed+227))) // line 3: He init
 	trainRng := rand.New(rand.NewSource(cfg.Seed + 229))
 	atk := &omla.Attack{Model: model, Ext: ext}
+	var sc subgraph.Scratch // line 7 extraction state, reused across augmentations
+	var batch gnn.Batch
 
 	var advObserve anneal.Observer[synth.Recipe]
 	if len(ro.observers) > 0 {
@@ -393,7 +382,7 @@ func trainAdversarialCtx(ctx context.Context, locked *aig.AIG, cfg Config,
 			for i, ko := range keyOrder {
 				kis[i] = kisAll[ko]
 			}
-			data = append(data, ext.Labeled(resynth, kis, bits)...)
+			data = append(data, ext.LabeledInto(&sc, resynth, kis, bits, &batch).Unpack()...)
 		}
 		model.TrainEpoch(data, trainRng) // lines 8-9
 		if len(ro.observers) > 0 {
@@ -408,7 +397,7 @@ func trainAdversarialCtx(ctx context.Context, locked *aig.AIG, cfg Config,
 // minimizes toward 0.5. The defender knows the true key, so accuracy is
 // measured exactly against it.
 func (p *Proxy) EstimateAccuracy(locked *aig.AIG, r synth.Recipe, truth lock.Key) float64 {
-	return p.Attack.Accuracy(r.Apply(locked), truth)
+	return p.Attack.AccuracyBatch(r.Apply(locked), truth)
 }
 
 // searchProblem is the Eq. 1 objective, generalized to an attack
@@ -592,13 +581,9 @@ func SearchRecipeCtx(ctx context.Context, locked *aig.AIG, truth lock.Key,
 		if name == "omla" {
 			// The proxy scores every key gate of the candidate through one
 			// fused batch: a single shared-index extraction and one blocked
-			// GIN forward, bit-identical to the scalar per-gate loop.
+			// GIN forward.
 			evals[i] = func(net *aig.AIG, s *engine.Scratch, _ synth.Recipe) float64 {
-				ws := auxScratch(s)
-				if scalarInference {
-					return proxy.Attack.AccuracyWith(&ws.bs.NN, net, truth)
-				}
-				return proxy.Attack.AccuracyBatchWith(&ws.bs, net, truth)
+				return proxy.Attack.AccuracyBatchWith(&auxScratch(s).bs, net, truth)
 			}
 			continue
 		}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -76,18 +78,54 @@ func TestModelKindString(t *testing.T) {
 	}
 }
 
+// andFreeNetlist wires every input straight to an output: a netlist with
+// no AND gate, on which relocking places no key gates at all.
+func andFreeNetlist() *aig.AIG {
+	g := aig.New()
+	for i := 0; i < 4; i++ {
+		g.AddOutput(g.AddInput(fmt.Sprintf("i%d", i)).NotIf(i%2 == 1), fmt.Sprintf("o%d", i))
+	}
+	return g
+}
+
+// TestTrainProxyAllKinds trains every proxy kind on a locked c432 and on
+// an AND-free netlist. On the latter every Eq. 3 candidate scores an
+// empty batch of relocked localities, whose loss must be 0, not NaN.
 func TestTrainProxyAllKinds(t *testing.T) {
 	g := circuits.MustGenerate("c432")
 	locked, key := lock.Lock(g, 8, rand.New(rand.NewSource(1)))
 	cfg := tinyConfig()
-	for _, kind := range []ModelKind{ModelResyn2, ModelRandom, ModelAdversarial} {
-		p := trainProxyT(t, locked, kind, cfg)
-		if p.Kind != kind || p.Attack == nil {
-			t.Fatalf("%v: bad proxy", kind)
-		}
-		acc := p.EstimateAccuracy(locked, synth.Resyn2(), key)
-		if acc < 0 || acc > 1 {
-			t.Fatalf("%v: accuracy %v out of range", kind, acc)
+	for _, tc := range []struct {
+		name string
+		net  *aig.AIG
+		key  lock.Key
+	}{{"c432", locked, key}, {"and-free", andFreeNetlist(), nil}} {
+		for _, kind := range []ModelKind{ModelResyn2, ModelRandom, ModelAdversarial} {
+			var energies []float64
+			observe := WithObserver(func(ev Event) {
+				if ev.Phase == PhaseAdvSearch {
+					energies = append(energies, ev.Energy, ev.BestEnergy)
+				}
+			})
+			p, err := TrainProxyCtx(context.Background(), tc.net, kind, synth.Resyn2(), cfg, observe)
+			if err != nil {
+				t.Fatalf("%s %v: %v", tc.name, kind, err)
+			}
+			if p.Kind != kind || p.Attack == nil {
+				t.Fatalf("%s %v: bad proxy", tc.name, kind)
+			}
+			acc := p.EstimateAccuracy(tc.net, synth.Resyn2(), tc.key)
+			if acc < 0 || acc > 1 {
+				t.Fatalf("%s %v: accuracy %v out of range", tc.name, kind, acc)
+			}
+			if kind == ModelAdversarial && len(energies) == 0 {
+				t.Fatalf("%s: no adversarial-search events", tc.name)
+			}
+			for _, e := range energies {
+				if math.IsNaN(e) {
+					t.Fatalf("%s %v: adversarial-search energies %v contain NaN", tc.name, kind, energies)
+				}
+			}
 		}
 	}
 }
@@ -272,8 +310,8 @@ func TestALMOSTReducesAttackAccuracy(t *testing.T) {
 	almostNet := res.Recipe.Apply(locked)
 	acfg := omla.DefaultConfig()
 	acfg.Seed = 12345
-	baseAcc := omla.Train(baseNet, resyn, acfg).Accuracy(baseNet, key)
-	almostAcc := omla.Train(almostNet, res.Recipe, acfg).Accuracy(almostNet, key)
+	baseAcc := omla.Train(baseNet, resyn, acfg).AccuracyBatch(baseNet, key)
+	almostAcc := omla.Train(almostNet, res.Recipe, acfg).AccuracyBatch(almostNet, key)
 
 	t.Logf("c1908: resyn2 %.2f%% vs ALMOST %.2f%%", baseAcc*100, almostAcc*100)
 	if almostAcc >= baseAcc {

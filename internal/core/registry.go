@@ -217,7 +217,7 @@ func (a omlaAttacker) PredictKeyCtx(ctx context.Context, netlist *aig.AIG, opts 
 	if err != nil {
 		return nil, canceledIfCtx(ctx, err)
 	}
-	return atk.PredictKey(netlist), nil
+	return atk.PredictKeyBatchWith(nil, netlist), nil
 }
 
 // scopeAttacker adapts the SCOPE constant-propagation attack.

@@ -319,8 +319,8 @@ func RunTransferability(ctx context.Context, bench string, keySize int, opt Opti
 		if err != nil {
 			return res, canceledErr(err)
 		}
-		res.Acc[i][0] = p.Attack.Accuracy(t1, key)
-		res.Acc[i][1] = p.Attack.Accuracy(t2, key)
+		res.Acc[i][0] = p.Attack.AccuracyBatch(t1, key)
+		res.Acc[i][1] = p.Attack.AccuracyBatch(t2, key)
 	}
 	w := opt.out()
 	fmt.Fprintf(w, "Transferability (%s, K=%d)\n", bench, keySize)
@@ -387,10 +387,10 @@ func RunTableI(ctx context.Context, opt Options) (TableIResult, error) {
 			if err != nil {
 				return err
 			}
-			cell := TableICell{Resyn2: p.Attack.Accuracy(tResyn, key)}
+			cell := TableICell{Resyn2: p.Attack.AccuracyBatch(tResyn, key)}
 			var sum float64
 			for _, net := range randomNets {
-				sum += p.Attack.Accuracy(net, key)
+				sum += p.Attack.AccuracyBatch(net, key)
 			}
 			if len(randomNets) > 0 {
 				cell.RandomAvg = sum / float64(len(randomNets))

@@ -211,7 +211,7 @@ func RunFig5(ctx context.Context, opt Options) ([]Fig5Series, error) {
 			series := Fig5Series{Benchmark: bench, Target: target}
 			for _, tp := range res.Trace {
 				net := tp.State.Apply(almostNet)
-				acc := proxy.Attack.Accuracy(net, key)
+				acc := proxy.Attack.AccuracyBatch(net, key)
 				den := base.Delay
 				if target == TargetArea {
 					den = base.Area

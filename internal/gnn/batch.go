@@ -9,13 +9,15 @@ import (
 // as batch-local neighbor lists. A GIN forward over the batch is then K
 // independent forwards expressed as single blocked matmuls — every
 // matrix op in the stack is row-local, so each graph's rows see exactly
-// the scalar path's arithmetic and the logits are bit-for-bit identical.
+// the arithmetic of a forward over that graph alone, and the logits are
+// bit-for-bit the training forward's. A single graph is scored as a batch
+// of one.
 //
 // Ownership contract (the batch seam): a Batch and everything reachable
 // from it — X, Off, Adj rows, Labels — is owned by whoever filled it
 // (subgraph.Extractor batched extraction, or PackInto) and is valid only
 // until that filler's next use of the same Batch. Model methods taking a
-// *Batch never retain references past the call.
+// *Batch never retain references past the call; Unpack copies out.
 type Batch struct {
 	X      *nn.Matrix // ΣN×f packed node features
 	Off    []int      // len K+1; graph g owns feature rows [Off[g], Off[g+1])
@@ -96,8 +98,7 @@ func (b *Batch) InitAdj(deg []int) {
 // AddEdge appends neighbor j to row i's list. Callers must have declared
 // enough degree in InitAdj; the append then lands in the slab. The fill
 // order across AddEdge calls defines each row's neighbor order, which is
-// what the aggregation sums over — callers replicating a scalar path
-// must issue AddEdge calls in that path's append order.
+// what the aggregation sums over.
 //
 //almost:hotpath
 func (b *Batch) AddEdge(i, j int) {
@@ -148,14 +149,44 @@ func PackInto(b *Batch, gs []*Graph) *Batch {
 	return b
 }
 
-// forwardLogitsBatch runs the inference forward over a packed batch with
+// Unpack copies the packed graphs out as standalone training graphs, in
+// batch order: graph g gets feature rows [Off[g], Off[g+1]) and its
+// neighbor lists rebased to graph-local indices, in the same order. All
+// features share one new slab and all neighbor lists another, so the
+// result does not alias b and stays valid across b's reuse.
+func (b *Batch) Unpack() []*Graph {
+	k := b.Graphs()
+	feat := b.X.C
+	xs := make([]float64, len(b.X.D))
+	copy(xs, b.X.D)
+	edges := make([]int, 0, len(b.edges))
+	adj := make([][]int, len(b.Adj))
+	gs := make([]*Graph, k)
+	for g := 0; g < k; g++ {
+		lo, hi := b.Off[g], b.Off[g+1]
+		for i := lo; i < hi; i++ {
+			at := len(edges)
+			for _, j := range b.Adj[i] {
+				edges = append(edges, j-lo)
+			}
+			adj[i] = edges[at:len(edges):len(edges)]
+		}
+		gs[g] = &Graph{
+			X:     &nn.Matrix{R: hi - lo, C: feat, D: xs[lo*feat : hi*feat : hi*feat]},
+			Adj:   adj[lo:hi:hi],
+			Label: b.Labels[g],
+		}
+	}
+	return gs
+}
+
+// forwardLogits runs the inference forward over a packed batch with
 // pooled matrices, returning the scratch-owned K×2 logits (row g = graph
-// g). Row g's arithmetic matches forwardLogits on graph g exactly: the
-// GIN layers, bias adds, and ReLUs are row-local; the block-diagonal
+// g). Row g's arithmetic matches the training forward on graph g exactly:
+// the GIN layers, bias adds, and ReLUs are row-local; the block-diagonal
 // aggregation sums the same neighbor rows in the same order; and the
-// readout sums graph g's rows ascending before one division — so the
-// batched logits are bit-for-bit the scalar logits.
-func (m *Model) forwardLogitsBatch(sc *Scratch, b *Batch) *nn.Matrix {
+// readout sums graph g's rows ascending before one division.
+func (m *Model) forwardLogits(sc *Scratch, b *Batch) *nn.Matrix {
 	k := b.Graphs()
 	h := b.X
 	owned := false
@@ -203,15 +234,14 @@ func (m *Model) forwardLogitsBatch(sc *Scratch, b *Batch) *nn.Matrix {
 
 // PredictProbBatchWith returns P(label=1) for every packed graph, in
 // batch order, appended to dst (pass dst[:0] to reuse). sc may be nil
-// for a private scratch. Probabilities are bit-for-bit identical to
-// PredictProbWith on each graph separately.
+// for a private scratch.
 //
 //almost:hotpath
 func (m *Model) PredictProbBatchWith(sc *Scratch, b *Batch, dst []float64) []float64 {
 	if sc == nil {
 		sc = NewScratch()
 	}
-	logits := m.forwardLogitsBatch(sc, b)
+	logits := m.forwardLogits(sc, b)
 	for g := 0; g < b.Graphs(); g++ {
 		//almost:nolint hotpathalloc // appends into the caller-provided result buffer by contract
 		dst = append(dst, softmaxProb1(logits.Row(g)))
@@ -221,8 +251,8 @@ func (m *Model) PredictProbBatchWith(sc *Scratch, b *Batch, dst []float64) []flo
 }
 
 // AccuracyBatchWith evaluates classification accuracy of the packed
-// graphs against b.Labels, bit-for-bit identical to AccuracyWith over
-// the same graphs. sc may be nil for a private scratch.
+// graphs against b.Labels (0 for an empty batch). sc may be nil for a
+// private scratch.
 //
 //almost:hotpath
 func (m *Model) AccuracyBatchWith(sc *Scratch, b *Batch) float64 {
@@ -233,7 +263,7 @@ func (m *Model) AccuracyBatchWith(sc *Scratch, b *Batch) float64 {
 	if sc == nil {
 		sc = NewScratch()
 	}
-	logits := m.forwardLogitsBatch(sc, b)
+	logits := m.forwardLogits(sc, b)
 	n := 0
 	for g := 0; g < k; g++ {
 		pred := 0
@@ -249,15 +279,19 @@ func (m *Model) AccuracyBatchWith(sc *Scratch, b *Batch) float64 {
 }
 
 // LossBatchWith computes, without updating, the mean CE loss of the
-// packed graphs against b.Labels, bit-for-bit identical to LossWith over
-// the same graphs. sc may be nil for a private scratch.
+// packed graphs against b.Labels (0 for an empty batch). sc may be nil
+// for a private scratch.
 //
 //almost:hotpath
 func (m *Model) LossBatchWith(sc *Scratch, b *Batch) float64 {
+	k := b.Graphs()
+	if k == 0 {
+		return 0
+	}
 	if sc == nil {
 		sc = NewScratch()
 	}
-	logits := m.forwardLogitsBatch(sc, b)
+	logits := m.forwardLogits(sc, b)
 	var total float64
 	for g := 0; g < b.Graphs(); g++ {
 		total += softmaxCE(logits.Row(g), b.Labels[g])

@@ -35,8 +35,10 @@ func randGraph(n, f int, rng *rand.Rand, label int) *Graph {
 }
 
 // TestBatchForwardBitIdentity gates the core determinism claim of the
-// batch seam: packed inference must reproduce the scalar per-graph path
-// exactly (==, not approximately) for probabilities, accuracy, and loss.
+// batch seam: packed inference must reproduce the training forward on
+// each graph alone exactly (==, not approximately) — probabilities,
+// accuracy, and loss all derive from the same logits, through the same
+// softmax arithmetic as nn.SoftmaxCE.
 func TestBatchForwardBitIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const f = 7
@@ -51,23 +53,68 @@ func TestBatchForwardBitIdentity(t *testing.T) {
 	}
 	sc := NewScratch()
 	probs := m.PredictProbBatchWith(sc, b, nil)
+	var lossSum float64
+	correct := 0
 	for i, g := range gs {
-		want := m.PredictProbWith(sc, g)
-		if probs[i] != want {
-			t.Fatalf("graph %d: batched prob %v != scalar %v", i, probs[i], want)
+		l, p, _ := nn.SoftmaxCE(m.forward(g).logits, []int{g.Label})
+		if probs[i] != p.D[1] {
+			t.Fatalf("graph %d: batched prob %v != training forward %v", i, probs[i], p.D[1])
+		}
+		lossSum += l
+		if (p.D[1] >= 0.5) == (g.Label == 1) {
+			correct++
 		}
 	}
-	if got, want := m.AccuracyBatchWith(sc, b), m.AccuracyWith(sc, gs); got != want {
-		t.Fatalf("batched accuracy %v != scalar %v", got, want)
+	if got, want := m.AccuracyBatchWith(sc, b), float64(correct)/float64(len(gs)); got != want {
+		t.Fatalf("batched accuracy %v != training forward %v", got, want)
 	}
-	if got, want := m.LossBatchWith(sc, b), m.LossWith(sc, gs); got != want {
-		t.Fatalf("batched loss %v != scalar %v", got, want)
+	if got, want := m.LossBatchWith(sc, b), lossSum/float64(len(gs)); got != want {
+		t.Fatalf("batched loss %v != training forward %v", got, want)
 	}
 	// A nil scratch must produce the same numbers.
-	probs2 := m.PredictProbBatchWith(nil, b, probs[:0])
-	for i := range probs2 {
-		if probs2[i] != m.PredictProbWith(nil, gs[i]) {
+	want := append([]float64(nil), probs...)
+	for i, p := range m.PredictProbBatchWith(nil, b, probs[:0]) {
+		if p != want[i] {
 			t.Fatalf("graph %d: nil-scratch batched prob diverges", i)
+		}
+	}
+}
+
+// TestBatchUnpackRoundTrip checks that Unpack returns exactly the packed
+// graphs — feature bits, neighbor lists in order, labels — and that the
+// result survives reuse of the batch.
+func TestBatchUnpackRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	const f = 5
+	var gs []*Graph
+	for i, n := range []int{1, 4, 11, 2} {
+		gs = append(gs, randGraph(n, f, rng, i%2))
+	}
+	b := PackInto(nil, gs)
+	got := b.Unpack()
+	PackInto(b, []*Graph{randGraph(30, f, rng, 1)}) // reuse must not leak into got
+	if len(got) != len(gs) {
+		t.Fatalf("unpacked %d graphs, want %d", len(got), len(gs))
+	}
+	for gi, g := range gs {
+		u := got[gi]
+		if u.Label != g.Label || u.X.R != g.X.R || u.X.C != g.X.C || len(u.Adj) != len(g.Adj) {
+			t.Fatalf("graph %d: shape or label differs", gi)
+		}
+		for i, v := range g.X.D {
+			if u.X.D[i] != v {
+				t.Fatalf("graph %d: feature %d differs", gi, i)
+			}
+		}
+		for i, row := range g.Adj {
+			if len(u.Adj[i]) != len(row) {
+				t.Fatalf("graph %d row %d: %d neighbors, want %d", gi, i, len(u.Adj[i]), len(row))
+			}
+			for k, j := range row {
+				if u.Adj[i][k] != j {
+					t.Fatalf("graph %d row %d: neighbor order differs", gi, i)
+				}
+			}
 		}
 	}
 }

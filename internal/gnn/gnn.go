@@ -15,7 +15,6 @@ package gnn
 import (
 	"math"
 	"math/rand"
-	"sort"
 
 	"github.com/nyu-secml/almost/internal/nn"
 )
@@ -109,8 +108,9 @@ func aggregateInto(dst, h *nn.Matrix, adj [][]int, eps float64) *nn.Matrix {
 
 // Scratch pools the intermediate matrices of inference-only forward
 // passes, so evaluating a trained model inside the recipe-search hot loop
-// stops allocating per sample. A scratch is not safe for concurrent use;
-// the engine keeps one per worker (Scratch.Aux). The zero value is ready.
+// stops allocating per candidate. A scratch is not safe for concurrent
+// use; the engine keeps one per worker (Scratch.Aux). The zero value is
+// ready.
 type Scratch struct {
 	pool []*nn.Matrix
 }
@@ -136,10 +136,10 @@ func (s *Scratch) mat(r, c int) *nn.Matrix {
 
 // maxPool bounds the Scratch free-list. A forward pass holds at most a
 // handful of intermediates, so a healthy pool stays far below the bound;
-// the bound exists because mixed matrix shapes (alternating batched and
-// scalar traffic, graphs of very different sizes) would otherwise ratchet
-// the list up without limit — every undersized entry skipped by mat is
-// dead weight that still pins its backing array.
+// the bound exists because mixed matrix shapes (batches of very
+// different sizes) would otherwise ratchet the list up without limit —
+// every undersized entry skipped by mat is dead weight that still pins
+// its backing array.
 const maxPool = 32
 
 // put returns a matrix to the pool. At the bound it keeps the pool's
@@ -160,52 +160,6 @@ func (s *Scratch) put(m *nn.Matrix) {
 	if cap(s.pool[mi].D) < cap(m.D) {
 		s.pool[mi] = m
 	}
-}
-
-// forwardLogits runs an inference-only forward pass (no activation
-// cache) with pooled matrices, returning the scratch-owned 1×2 logits.
-// The arithmetic — including nn.MatMul's zero-skip accumulation order —
-// matches forward exactly, so predictions and losses are bit-for-bit
-// identical to the allocating path.
-func (m *Model) forwardLogits(sc *Scratch, g *Graph) *nn.Matrix {
-	h := g.X
-	owned := false
-	for _, l := range m.layers {
-		agg := sc.mat(h.R, h.C)
-		aggregateInto(agg, h, g.Adj, m.cfg.Eps)
-		a1 := sc.mat(h.R, l.l1.OutDim())
-		nn.ReLUInPlace(l.l1.ForwardInto(a1, agg))
-		out := sc.mat(h.R, l.l2.OutDim())
-		nn.ReLUInPlace(l.l2.ForwardInto(out, a1))
-		sc.put(agg)
-		sc.put(a1)
-		if owned {
-			sc.put(h)
-		}
-		h, owned = out, true
-	}
-	// Mean readout.
-	pooled := sc.mat(1, h.C)
-	pooled.Zero()
-	for i := 0; i < h.R; i++ {
-		hr := h.Row(i)
-		for j := range hr {
-			pooled.D[j] += hr[j]
-		}
-	}
-	for j := range pooled.D {
-		pooled.D[j] /= float64(h.R)
-	}
-	if owned {
-		sc.put(h)
-	}
-	hid := sc.mat(1, m.head1.OutDim())
-	nn.ReLUInPlace(m.head1.ForwardInto(hid, pooled))
-	logits := sc.mat(1, m.head2.OutDim())
-	m.head2.ForwardInto(logits, hid)
-	sc.put(pooled)
-	sc.put(hid)
-	return logits
 }
 
 // softmaxProb1 returns P(label=1) from a logits row with the exact
@@ -334,93 +288,6 @@ func (m *Model) backward(c *forwardCache, dLogits *nn.Matrix) {
 	}
 }
 
-// PredictProbWith returns P(label=1) for one graph, using sc's pooled
-// matrices (nil for a private scratch).
-//
-//almost:hotpath
-func (m *Model) PredictProbWith(sc *Scratch, g *Graph) float64 {
-	if sc == nil {
-		sc = NewScratch()
-	}
-	logits := m.forwardLogits(sc, g)
-	p := softmaxProb1(logits.Row(0))
-	sc.put(logits)
-	return p
-}
-
-// PredictProb returns P(label=1) for one graph.
-func (m *Model) PredictProb(g *Graph) float64 { return m.PredictProbWith(nil, g) }
-
-// PredictWith returns the predicted label of one graph, using sc's
-// pooled matrices (nil for a private scratch).
-//
-//almost:hotpath
-func (m *Model) PredictWith(sc *Scratch, g *Graph) int {
-	if m.PredictProbWith(sc, g) >= 0.5 {
-		return 1
-	}
-	return 0
-}
-
-// Predict returns the predicted label of one graph.
-func (m *Model) Predict(g *Graph) int { return m.PredictWith(nil, g) }
-
-// AccuracyWith evaluates classification accuracy on a set, using sc's
-// pooled matrices (nil for a private scratch).
-//
-//almost:hotpath
-func (m *Model) AccuracyWith(sc *Scratch, gs []*Graph) float64 {
-	if len(gs) == 0 {
-		return 0
-	}
-	if sc == nil {
-		sc = NewScratch()
-	}
-	n := 0
-	for _, g := range gs {
-		if m.PredictWith(sc, g) == g.Label {
-			n++
-		}
-	}
-	return float64(n) / float64(len(gs))
-}
-
-// Accuracy evaluates classification accuracy on a set.
-func (m *Model) Accuracy(gs []*Graph) float64 { return m.AccuracyWith(nil, gs) }
-
-// LossWith computes, without updating, the mean CE loss on a set, using
-// sc's pooled matrices (nil for a private scratch).
-//
-//almost:hotpath
-func (m *Model) LossWith(sc *Scratch, gs []*Graph) float64 {
-	if sc == nil {
-		sc = NewScratch()
-	}
-	var total float64
-	for _, g := range gs {
-		logits := m.forwardLogits(sc, g)
-		total += softmaxCE(logits.Row(0), g.Label)
-		sc.put(logits)
-	}
-	return total / float64(len(gs))
-}
-
-// Loss computes, without updating, the mean CE loss on a set.
-func (m *Model) Loss(gs []*Graph) float64 { return m.LossWith(nil, gs) }
-
-// PerSampleLoss returns each graph's CE loss, used by the adversarial
-// sample selection in Algorithm 1 (Eq. 3 maximizes this quantity).
-func (m *Model) PerSampleLoss(gs []*Graph) []float64 {
-	sc := NewScratch()
-	out := make([]float64, len(gs))
-	for i, g := range gs {
-		logits := m.forwardLogits(sc, g)
-		out[i] = softmaxCE(logits.Row(0), g.Label)
-		sc.put(logits)
-	}
-	return out
-}
-
 // TrainEpoch runs one epoch of mini-batch Adam over the training set in
 // a shuffled order drawn from rng, returning the mean loss.
 func (m *Model) TrainEpoch(gs []*Graph, rng *rand.Rand) float64 {
@@ -462,16 +329,4 @@ func (m *Model) Train(gs *[]*Graph, epochs int, rng *rand.Rand, after func(epoch
 			after(e, loss)
 		}
 	}
-}
-
-// SortGraphsByLoss returns indices of gs ordered by descending loss under
-// the model — the most adversarial first.
-func (m *Model) SortGraphsByLoss(gs []*Graph) []int {
-	losses := m.PerSampleLoss(gs)
-	idx := make([]int, len(gs))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return losses[idx[a]] > losses[idx[b]] })
-	return idx
 }

@@ -139,7 +139,7 @@ func TestModelLearnsSeparableGraphs(t *testing.T) {
 	for e := 0; e < 30; e++ {
 		m.TrainEpoch(train, rng)
 	}
-	if acc := m.Accuracy(test); acc < 0.9 {
+	if acc := m.AccuracyBatchWith(nil, PackInto(nil, test)); acc < 0.9 {
 		t.Fatalf("separable accuracy = %v", acc)
 	}
 }
@@ -179,7 +179,7 @@ func TestModelLearnsStructuralDifference(t *testing.T) {
 	for e := 0; e < 60; e++ {
 		m.TrainEpoch(train, rng)
 	}
-	if acc := m.Accuracy(test); acc < 0.85 {
+	if acc := m.AccuracyBatchWith(nil, PackInto(nil, test)); acc < 0.85 {
 		t.Fatalf("structural accuracy = %v", acc)
 	}
 }
@@ -188,29 +188,13 @@ func TestPredictProbInRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	m := NewModel(DefaultConfig(3), rng)
 	g := lineGraph(4, 3, 0.5, 0)
-	p := m.PredictProb(g)
+	b := PackInto(nil, []*Graph{g})
+	p := m.PredictProbBatchWith(nil, b, nil)[0]
 	if p < 0 || p > 1 || math.IsNaN(p) {
 		t.Fatalf("prob = %v", p)
 	}
-	if (m.Predict(g) == 1) != (p >= 0.5) {
-		t.Fatalf("Predict inconsistent with PredictProb")
-	}
-}
-
-func TestSortGraphsByLoss(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	m := NewModel(DefaultConfig(2), rng)
-	gs := []*Graph{
-		lineGraph(3, 2, 1, 0),
-		lineGraph(3, 2, 1, 1),
-		lineGraph(5, 2, -1, 0),
-	}
-	idx := m.SortGraphsByLoss(gs)
-	losses := m.PerSampleLoss(gs)
-	for i := 0; i+1 < len(idx); i++ {
-		if losses[idx[i]] < losses[idx[i+1]] {
-			t.Fatalf("not sorted by descending loss: %v %v", idx, losses)
-		}
+	if (m.AccuracyBatchWith(nil, b) == 0) != (p >= 0.5) {
+		t.Fatalf("accuracy inconsistent with the predicted probability")
 	}
 }
 
@@ -244,7 +228,7 @@ func TestDeterministicTraining(t *testing.T) {
 		for e := 0; e < 5; e++ {
 			m.TrainEpoch(gs, rng)
 		}
-		return m.Loss(gs)
+		return m.LossBatchWith(nil, PackInto(nil, gs))
 	}
 	if mk() != mk() {
 		t.Fatal("training not deterministic for fixed seed")

@@ -1,53 +1,22 @@
 package nn
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
-// parallelism is the package-wide worker budget for the tiled kernels,
-// settable at runtime (SetParallelism). It defaults to 1: serial blocked
-// kernels. The budget is advisory — kernels below parallelGrain flops
-// always run serially, since goroutine handoff costs more than the panel.
-var parallelism atomic.Int32
-
-func init() { parallelism.Store(1) }
-
-// SetParallelism sets the worker budget for the tiled matmul kernels.
-// Values below 1 are clamped to 1 (serial). The setting only changes how
-// output rows are partitioned across goroutines; every output element is
-// produced by exactly one worker with the exact serial accumulation
-// order, so results are bit-for-bit identical for any budget.
-func SetParallelism(n int) {
-	if n < 1 {
-		n = 1
-	}
-	parallelism.Store(int32(n))
-}
-
-// Parallelism returns the current worker budget for the tiled kernels.
-func Parallelism() int { return int(parallelism.Load()) }
-
-// Blocking parameters of the tiled kernels. colPanel bounds the slice of
+// Blocking parameters of the matmul kernel. colPanel bounds the slice of
 // B columns streamed per pass so the panel stays cache-resident across a
 // row panel of A; rowPanel bounds the A rows sharing that B panel.
-// parallelGrain is the flop count (R·K·C) below which goroutine dispatch
-// is never attempted.
 const (
-	rowPanel      = 8
-	colPanel      = 256
-	parallelGrain = 1 << 18
+	rowPanel = 8
+	colPanel = 256
 )
 
-// matMulPanel computes rows [i0,i1) of dst = A·B with row/column panel
-// tiling. Each output element (i,j) accumulates over k ascending with the
-// zero-skip, exactly as the naive triple loop: column tiling only changes
-// which j values share one pass over k, never the per-element term order,
-// so results are bit-for-bit identical to the unblocked kernel.
+// matMulPanel computes dst = A·B with row/column panel tiling. Each
+// output element (i,j) accumulates over k ascending with the zero-skip,
+// exactly as the naive triple loop: column tiling only changes which j
+// values share one pass over k, never the per-element term order, so
+// results are bit-for-bit identical to the unblocked kernel.
 //
 //almost:hotpath
-func matMulPanel(dst, a, b *Matrix, i0, i1 int) {
-	for i := i0; i < i1; i++ {
+func matMulPanel(dst, a, b *Matrix) {
+	for i := 0; i < a.R; i++ {
 		or := dst.Row(i)
 		for j := range or {
 			or[j] = 0
@@ -58,10 +27,10 @@ func matMulPanel(dst, a, b *Matrix, i0, i1 int) {
 		if jq > b.C {
 			jq = b.C
 		}
-		for ip := i0; ip < i1; ip += rowPanel {
+		for ip := 0; ip < a.R; ip += rowPanel {
 			iq := ip + rowPanel
-			if iq > i1 {
-				iq = i1
+			if iq > a.R {
+				iq = a.R
 			}
 			for i := ip; i < iq; i++ {
 				ar := a.Row(i)
@@ -78,47 +47,6 @@ func matMulPanel(dst, a, b *Matrix, i0, i1 int) {
 			}
 		}
 	}
-}
-
-// matMulTiled fans rows of dst = A·B out to workers goroutines. Ownership
-// is deterministic: worker t owns the contiguous row range
-// [t·q+min(t,r), ...) from the usual balanced split, and no row is touched
-// by two workers, so the result is identical to the serial kernel
-// regardless of scheduling. Call only with workers >= 2.
-func matMulTiled(dst, a, b *Matrix, workers int) {
-	if workers > a.R {
-		workers = a.R
-	}
-	q, r := a.R/workers, a.R%workers
-	var wg sync.WaitGroup
-	i0 := 0
-	for t := 0; t < workers; t++ {
-		i1 := i0 + q
-		if t < r {
-			i1++
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			matMulPanel(dst, a, b, lo, hi)
-		}(i0, i1)
-		i0 = i1
-	}
-	wg.Wait()
-}
-
-// matMulWorkers returns the goroutine count MatMulInto should use for an
-// a·b product: 1 unless the budget allows more and the product is large
-// enough to amortize the handoff.
-func matMulWorkers(a, b *Matrix) int {
-	w := Parallelism()
-	if w <= 1 || a.R < 2 {
-		return 1
-	}
-	if a.R*a.C*b.C < parallelGrain {
-		return 1
-	}
-	return w
 }
 
 // MatMulATBInto computes Aᵀ·B into dst (which must be C(a)×C(b) and must

@@ -61,38 +61,6 @@ func TestMatMulBlockedBitIdentity(t *testing.T) {
 	}
 }
 
-// TestMatMulParallelBitIdentity checks that goroutine tiling with any
-// worker budget reproduces the serial result exactly. The product is
-// sized above parallelGrain so the dispatch actually engages.
-func TestMatMulParallelBitIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	r, k, c := 96, 64, 64 // 96*64*64 = 393216 > parallelGrain
-	if r*k*c <= parallelGrain {
-		t.Fatalf("test shape no longer exceeds parallelGrain=%d", parallelGrain)
-	}
-	a := randMatrix(r, k, rng)
-	b := randMatrix(k, c, rng)
-	want := matMulNaive(a, b)
-	dst := NewMatrix(r, c)
-	defer SetParallelism(1)
-	for _, workers := range []int{1, 2, 3, 7, 16, 200} {
-		SetParallelism(workers)
-		if got := Parallelism(); got != max(workers, 1) {
-			t.Fatalf("Parallelism() = %d after SetParallelism(%d)", got, workers)
-		}
-		MatMulInto(dst, a, b)
-		for i := range want.D {
-			if dst.D[i] != want.D[i] {
-				t.Fatalf("workers=%d: [%d] = %v, want %v", workers, i, dst.D[i], want.D[i])
-			}
-		}
-	}
-	SetParallelism(0)
-	if Parallelism() != 1 {
-		t.Fatalf("SetParallelism(0) should clamp to 1, got %d", Parallelism())
-	}
-}
-
 // TestMatMulIntoVariantsBitIdentity checks the new Into variants against
 // their allocating originals (which now delegate — so compare against an
 // explicit-transpose MatMul as the independent reference).

@@ -51,11 +51,10 @@ func MatMul(a, b *Matrix) *Matrix {
 }
 
 // MatMulInto computes A·B into dst (which must be R(a)×C(b) and must not
-// alias a or b), returning dst. The blocked (and, above parallelGrain
-// with a SetParallelism budget, goroutine-tiled) kernels behind it
-// preserve the exact accumulation order of the naive triple loop —
-// including the zero-skip — so results are bit-for-bit identical for any
-// tiling or worker count; dst is fully overwritten.
+// alias a or b), returning dst. The row/column-panel blocked kernel
+// behind it preserves the exact accumulation order of the naive triple
+// loop — including the zero-skip — so results are bit-for-bit identical
+// to it; dst is fully overwritten.
 //
 //almost:hotpath
 func MatMulInto(dst, a, b *Matrix) *Matrix {
@@ -65,11 +64,7 @@ func MatMulInto(dst, a, b *Matrix) *Matrix {
 	if dst.R != a.R || dst.C != b.C {
 		panic(fmt.Sprintf("nn: matmul dst shape %dx%d, want %dx%d", dst.R, dst.C, a.R, b.C))
 	}
-	if w := matMulWorkers(a, b); w > 1 {
-		matMulTiled(dst, a, b, w)
-		return dst
-	}
-	matMulPanel(dst, a, b, 0, a.R)
+	matMulPanel(dst, a, b)
 	return dst
 }
 

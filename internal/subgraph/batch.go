@@ -170,9 +170,12 @@ func (s *Scratch) bfs(g *aig.AIG, seed, hops int) {
 // feature buffers across all key gates of the netlist. It returns b,
 // allocating one if nil. Labels are zeroed; callers attach them.
 //
-// The packed graphs are bit-for-bit the scalar ForKeyInput graphs: node
-// order (ascending ID), features, and — critically for the aggregation
-// sum order — the adjacency append order are replicated exactly.
+// Each packed graph is the k-hop locality of its key input with nodes in
+// ascending ID order. Neighbor lists are filled by visiting nodes in
+// that order, fanin 0 before fanin 1, each undirected edge appended
+// forward then back; the aggregation sums neighbors in exactly this
+// order, so it is part of the result. The tests pin it against a
+// map-based per-key-gate reference extractor.
 //
 // The returned batch aliases sc-independent storage owned by b itself
 // and is valid until b's next reuse; sc only carries the extraction
@@ -220,7 +223,7 @@ func (e Extractor) ForKeyInputsInto(sc *Scratch, g *aig.AIG, kis []int, b *gnn.B
 	b.Reset(total, FeatureDim, len(kis))
 
 	// Pass B: stamp batch-local rows per seed and count adjacency
-	// degrees in the scalar path's visit order.
+	// degrees in Pass C's visit order.
 	if cap(sc.deg) < total {
 		sc.deg = make([]int, total)
 	}
@@ -254,10 +257,8 @@ func (e Extractor) ForKeyInputsInto(sc *Scratch, g *aig.AIG, kis []int, b *gnn.B
 	}
 	b.InitAdj(sc.deg)
 
-	// Pass C: re-stamp per seed, then fill features and adjacency in
-	// exactly ForKeyInput's loops — ascending node ID, f0 before f1,
-	// forward edge before back edge — so every neighbor list carries the
-	// scalar order and the aggregation sums terms identically.
+	// Pass C: re-stamp per seed, then fill features and adjacency —
+	// ascending node ID, f0 before f1, forward edge before back edge.
 	for si, ki := range kis {
 		seed := g.Input(ki).Node()
 		lo, hi := sc.seedOff[si], sc.seedOff[si+1]

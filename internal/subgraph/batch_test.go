@@ -10,10 +10,10 @@ import (
 	"github.com/nyu-secml/almost/internal/lock"
 )
 
-// requireBatchMatchesScalar checks that batch b is exactly the packed
-// form of the scalar graphs gs: offsets, features (==, bitwise), and
-// adjacency lists in the scalar append order.
-func requireBatchMatchesScalar(t *testing.T, b *gnn.Batch, gs []*gnn.Graph) {
+// requireBatchMatchesReference checks that batch b is exactly the packed
+// form of the reference graphs gs: offsets, features (==, bitwise), and
+// adjacency lists in the reference append order.
+func requireBatchMatchesReference(t *testing.T, b *gnn.Batch, gs []*gnn.Graph) {
 	t.Helper()
 	if b.Graphs() != len(gs) {
 		t.Fatalf("batch has %d graphs, want %d", b.Graphs(), len(gs))
@@ -28,17 +28,17 @@ func requireBatchMatchesScalar(t *testing.T, b *gnn.Batch, gs []*gnn.Graph) {
 			sr := g.X.Row(i)
 			for j := range sr {
 				if br[j] != sr[j] {
-					t.Fatalf("graph %d node %d feature %d: batched %v != scalar %v", gi, i, j, br[j], sr[j])
+					t.Fatalf("graph %d node %d feature %d: batched %v != reference %v", gi, i, j, br[j], sr[j])
 				}
 			}
 			badj := b.Adj[at+i]
 			sadj := g.Adj[i]
 			if len(badj) != len(sadj) {
-				t.Fatalf("graph %d node %d: degree %d != scalar %d", gi, i, len(badj), len(sadj))
+				t.Fatalf("graph %d node %d: degree %d != reference %d", gi, i, len(badj), len(sadj))
 			}
 			for k := range sadj {
 				if badj[k] != at+sadj[k] {
-					t.Fatalf("graph %d node %d neighbor %d: batched %d != scalar %d (+%d)", gi, i, k, badj[k], sadj[k], at)
+					t.Fatalf("graph %d node %d neighbor %d: batched %d != reference %d (+%d)", gi, i, k, badj[k], sadj[k], at)
 				}
 			}
 		}
@@ -50,7 +50,7 @@ func requireBatchMatchesScalar(t *testing.T, b *gnn.Batch, gs []*gnn.Graph) {
 }
 
 // TestBatchedExtractionBitIdentity runs batched extraction against the
-// scalar path on every built-in benchmark, locked and unlocked, with a
+// map-based reference extractor on every built-in benchmark, locked and unlocked, with a
 // single scratch and batch reused throughout — the reuse pattern of the
 // engine hot loop.
 func TestBatchedExtractionBitIdentity(t *testing.T) {
@@ -71,7 +71,7 @@ func TestBatchedExtractionBitIdentity(t *testing.T) {
 		// Locked: every key gate's locality, in key-input order.
 		locked, key := lock.Lock(plain, 24, rand.New(rand.NewSource(7)))
 		b = ext.AllInto(&sc, locked, b)
-		requireBatchMatchesScalar(t, b, ext.All(locked))
+		requireBatchMatchesReference(t, b, referenceLocalities(ext, locked, locked.KeyInputIndices(), nil))
 
 		// A strict subset of key inputs, via the labeled forms.
 		kis := locked.KeyInputIndices()[:len(key)/2]
@@ -80,9 +80,9 @@ func TestBatchedExtractionBitIdentity(t *testing.T) {
 			bits[i] = key[i]
 		}
 		b = ext.LabeledInto(&sc, locked, kis, bits, b)
-		scalar := ext.Labeled(locked, kis, bits)
-		requireBatchMatchesScalar(t, b, scalar)
-		for i, g := range scalar {
+		ref := referenceLocalities(ext, locked, kis, bits)
+		requireBatchMatchesReference(t, b, ref)
+		for i, g := range ref {
 			if b.Labels[i] != g.Label {
 				t.Fatalf("%s: label %d = %d, want %d", name, i, b.Labels[i], g.Label)
 			}
@@ -118,7 +118,7 @@ func TestBatchedExtractionAcrossGraphSwaps(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		for _, g := range []*aig.AIG{a1, a2} {
 			b = ext.AllInto(&sc, g, b)
-			requireBatchMatchesScalar(t, b, ext.All(g))
+			requireBatchMatchesReference(t, b, referenceLocalities(ext, g, g.KeyInputIndices(), nil))
 		}
 	}
 }

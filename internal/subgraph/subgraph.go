@@ -8,13 +8,11 @@
 // features only: kind, fanin edge polarities, fanout degree, level, and
 // distance from the key input. Nothing about the key bit leaks into the
 // features; the bit is the label to be learned.
+//
+// Extraction packs every requested locality of a netlist into one
+// gnn.Batch (Extractor.ForKeyInputsInto and its AllInto/LabeledInto
+// forms); training unpacks that batch into standalone graphs.
 package subgraph
-
-import (
-	"github.com/nyu-secml/almost/internal/aig"
-	"github.com/nyu-secml/almost/internal/gnn"
-	"github.com/nyu-secml/almost/internal/nn"
-)
 
 // FeatureDim is the width of the per-node feature vector.
 const FeatureDim = 11
@@ -41,119 +39,3 @@ type Extractor struct {
 
 // DefaultExtractor returns the 2-hop extractor used by default.
 func DefaultExtractor() Extractor { return Extractor{Hops: 2} }
-
-// ForKeyInput extracts the locality of the key input with input index ki.
-// The returned graph's Label is left 0; callers attach labels.
-func (e Extractor) ForKeyInput(g *aig.AIG, ki int, fanouts [][]int, foCounts []int) *gnn.Graph {
-	seed := g.Input(ki).Node()
-	ids := g.KHopNeighborhood(seed, e.Hops, fanouts)
-	idx := make(map[int]int, len(ids))
-	for i, id := range ids {
-		idx[id] = i
-	}
-	// BFS distances from seed within the subgraph.
-	dist := map[int]int{seed: 0}
-	frontier := []int{seed}
-	for d := 0; d < e.Hops; d++ {
-		var next []int
-		for _, id := range frontier {
-			var adj []int
-			if g.IsAnd(id) {
-				f0, f1 := g.Fanins(id)
-				adj = append(adj, f0.Node(), f1.Node())
-			}
-			adj = append(adj, fanouts[id]...)
-			for _, a := range adj {
-				if _, seen := dist[a]; !seen {
-					if _, in := idx[a]; in {
-						dist[a] = d + 1
-						next = append(next, a)
-					}
-				}
-			}
-		}
-		frontier = next
-	}
-
-	maxLevel := g.NumLevels()
-	if maxLevel == 0 {
-		maxLevel = 1
-	}
-	x := nn.NewMatrix(len(ids), FeatureDim)
-	adj := make([][]int, len(ids))
-	poNodes := map[int]bool{}
-	for i := 0; i < g.NumOutputs(); i++ {
-		poNodes[g.Output(i).Node()] = true
-	}
-	for i, id := range ids {
-		row := x.Row(i)
-		switch {
-		case g.IsConst(id):
-			row[fConst] = 1
-		case g.IsInput(id):
-			if ii := g.InputIndexOfNode(id); ii >= 0 && g.InputIsKey(ii) {
-				row[fKeyInput] = 1
-			} else {
-				row[fInput] = 1
-			}
-		default:
-			row[fAnd] = 1
-			f0, f1 := g.Fanins(id)
-			if f0.Neg() {
-				row[fFanin0Neg] = 1
-			}
-			if f1.Neg() {
-				row[fFanin1Neg] = 1
-			}
-			// Undirected edges to fanins inside the subgraph.
-			for _, f := range []aig.Lit{f0, f1} {
-				if j, ok := idx[f.Node()]; ok {
-					adj[i] = append(adj[i], j)
-					adj[j] = append(adj[j], i)
-				}
-			}
-		}
-		fo := foCounts[id]
-		if fo > 8 {
-			fo = 8
-		}
-		row[fFanout] = float64(fo) / 8
-		row[fLevel] = float64(g.Level(id)) / float64(maxLevel)
-		if poNodes[id] {
-			row[fIsPO] = 1
-		}
-		row[fDist] = float64(dist[id]) / float64(max(e.Hops, 1))
-		if id == seed {
-			row[fIsSeed] = 1
-		}
-	}
-	return &gnn.Graph{X: x, Adj: adj}
-}
-
-// ForKeyInputs extracts localities for the given key-input indices.
-func (e Extractor) ForKeyInputs(g *aig.AIG, kis []int) []*gnn.Graph {
-	fanouts := g.Fanouts()
-	foCounts := g.FanoutCounts()
-	out := make([]*gnn.Graph, len(kis))
-	for i, ki := range kis {
-		out[i] = e.ForKeyInput(g, ki, fanouts, foCounts)
-	}
-	return out
-}
-
-// All extracts one locality per key input of g, in key-input order.
-func (e Extractor) All(g *aig.AIG) []*gnn.Graph {
-	return e.ForKeyInputs(g, g.KeyInputIndices())
-}
-
-// Labeled extracts localities for key inputs kis and attaches labels from
-// bits (parallel to kis).
-func (e Extractor) Labeled(g *aig.AIG, kis []int, bits []bool) []*gnn.Graph {
-	gs := e.ForKeyInputs(g, kis)
-	for i := range gs {
-		if bits[i] {
-			gs[i].Label = 1
-		}
-	}
-	return gs
-}

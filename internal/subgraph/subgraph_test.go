@@ -6,6 +6,7 @@ import (
 
 	"github.com/nyu-secml/almost/internal/aig"
 	"github.com/nyu-secml/almost/internal/circuits"
+	"github.com/nyu-secml/almost/internal/gnn"
 	"github.com/nyu-secml/almost/internal/lock"
 )
 
@@ -15,9 +16,15 @@ func lockedBench(t *testing.T, name string, keySize int, seed int64) (*aig.AIG, 
 	return lock.Lock(g, keySize, rand.New(rand.NewSource(seed)))
 }
 
+// all extracts every key-input locality of g through the packed path and
+// unpacks it into standalone graphs, as training consumes them.
+func all(e Extractor, g *aig.AIG) []*gnn.Graph {
+	return e.AllInto(&Scratch{}, g, nil).Unpack()
+}
+
 func TestAllExtractsOnePerKeyInput(t *testing.T) {
 	locked, _ := lockedBench(t, "c432", 12, 1)
-	gs := DefaultExtractor().All(locked)
+	gs := all(DefaultExtractor(), locked)
 	if len(gs) != 12 {
 		t.Fatalf("got %d localities, want 12", len(gs))
 	}
@@ -36,7 +43,7 @@ func TestAllExtractsOnePerKeyInput(t *testing.T) {
 
 func TestSeedFeature(t *testing.T) {
 	locked, _ := lockedBench(t, "c432", 4, 2)
-	gs := DefaultExtractor().All(locked)
+	gs := all(DefaultExtractor(), locked)
 	for gi, g := range gs {
 		seeds, keyNodes := 0, 0
 		for i := 0; i < g.X.R; i++ {
@@ -61,7 +68,7 @@ func TestSeedFeature(t *testing.T) {
 
 func TestAdjacencySymmetric(t *testing.T) {
 	locked, _ := lockedBench(t, "c880", 8, 3)
-	gs := Extractor{Hops: 3}.All(locked)
+	gs := all(Extractor{Hops: 3}, locked)
 	for gi, g := range gs {
 		for i, nbrs := range g.Adj {
 			for _, j := range nbrs {
@@ -82,8 +89,8 @@ func TestAdjacencySymmetric(t *testing.T) {
 
 func TestHopsControlSize(t *testing.T) {
 	locked, _ := lockedBench(t, "c880", 8, 4)
-	small := Extractor{Hops: 1}.All(locked)
-	big := Extractor{Hops: 3}.All(locked)
+	small := all(Extractor{Hops: 1}, locked)
+	big := all(Extractor{Hops: 3}, locked)
 	for i := range small {
 		if small[i].X.R > big[i].X.R {
 			t.Fatalf("locality %d: 1-hop larger than 3-hop", i)
@@ -94,7 +101,7 @@ func TestHopsControlSize(t *testing.T) {
 func TestLabeled(t *testing.T) {
 	locked, key := lockedBench(t, "c432", 6, 5)
 	kis := locked.KeyInputIndices()
-	gs := DefaultExtractor().Labeled(locked, kis, key)
+	gs := DefaultExtractor().LabeledInto(&Scratch{}, locked, kis, key, nil).Unpack()
 	for i, g := range gs {
 		want := 0
 		if key[i] {
@@ -115,7 +122,7 @@ func TestFeaturesDoNotLeakKeyBit(t *testing.T) {
 	// check that no single feature equals the key bit across localities.
 	g := circuits.MustGenerate("c499")
 	locked, key := lock.Lock(g, 32, rand.New(rand.NewSource(6)))
-	gs := DefaultExtractor().All(locked)
+	gs := all(DefaultExtractor(), locked)
 	for f := 0; f < FeatureDim; f++ {
 		matches := 0
 		for i := range gs {
@@ -142,8 +149,8 @@ func TestFeaturesDoNotLeakKeyBit(t *testing.T) {
 
 func TestDeterministicExtraction(t *testing.T) {
 	locked, _ := lockedBench(t, "c432", 6, 7)
-	g1 := DefaultExtractor().All(locked)
-	g2 := DefaultExtractor().All(locked)
+	g1 := all(DefaultExtractor(), locked)
+	g2 := all(DefaultExtractor(), locked)
 	for i := range g1 {
 		if g1[i].X.R != g2[i].X.R {
 			t.Fatalf("nondeterministic extraction")
@@ -159,8 +166,12 @@ func TestDeterministicExtraction(t *testing.T) {
 func BenchmarkExtractC7552(b *testing.B) {
 	g := circuits.MustGenerate("c7552")
 	locked, _ := lock.Lock(g, 128, rand.New(rand.NewSource(8)))
+	ext := DefaultExtractor()
+	var sc Scratch
+	batch := ext.AllInto(&sc, locked, nil)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		DefaultExtractor().All(locked)
+		batch = ext.AllInto(&sc, locked, batch)
 	}
 }
