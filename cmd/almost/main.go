@@ -86,7 +86,6 @@ var commands = map[string]command{
 	"convert":    cmdConvert,
 	"pipeline":   cmdPipeline,
 	"experiment": cmdExperiment,
-	"scaling":    cmdScaling,
 	"remote":     cmdRemote,
 	"soak":       cmdSoak,
 }
@@ -163,8 +162,6 @@ commands:
   pipeline    full lock -> harden -> attack flow on any circuit
   experiment  regenerate a paper artifact
               (transfer | table1 | fig4 | table2 | table3 | fig5)
-  scaling     incremental-vs-full candidate-evaluation latency curve
-              (the BENCH_pr8.json artifact)
   remote      talk to an almostd hardening server
               (submit | status | result | cancel | watch | list | stats)
   soak        hammer an almostd server with mixed load and verify

@@ -48,8 +48,8 @@ func finalizeProfiles() {
 }
 
 // profileFlags registers the shared -cpuprofile/-memprofile flags on the
-// compute-heavy subcommands, so scaling and tuning runs can be profiled
-// without a rebuild.
+// compute-heavy subcommands (tune and pipeline), so their runs can be
+// profiled without a rebuild.
 func profileFlags(fs *flag.FlagSet) (cpu, mem *string) {
 	cpu = fs.String("cpuprofile", "", "write a CPU profile to this file")
 	mem = fs.String("memprofile", "", "write a heap profile to this file on exit")

@@ -89,17 +89,12 @@ type AIG struct {
 
 	strash map[uint64]int // (fanin0,fanin1) -> AND node ID
 
-	// gen counts Reset calls. Caches keyed by graph identity (SimScratch
-	// schedules, synthesis arenas) include it so recycled storage —
-	// same pointer, rebuilt contents — never serves stale entries.
+	// gen counts Reset calls. Between Resets the node array only grows,
+	// so (pointer, gen, node count) identifies the graph's nodes; caches
+	// keyed on graph identity (SimScratch schedules, synthesis arenas)
+	// include gen so recycled storage — same pointer, rebuilt contents —
+	// never serves stale entries.
 	gen uint64
-
-	// shrink counts Rollback calls (see incr.go). The graph is append-only
-	// between Resets *and Rollbacks*; delta-simulation state additionally
-	// keys on this counter so a rollback followed by fresh appends — which
-	// can reproduce an earlier (gen, node count) pair with different
-	// contents — can never serve stale cached values.
-	shrink uint64
 }
 
 // New returns an empty AIG containing only the constant node.

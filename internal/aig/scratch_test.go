@@ -172,6 +172,94 @@ func TestAIGResetRecycles(t *testing.T) {
 	}
 }
 
+// TestScheduleRecycledGraphRegression is the satellite regression test:
+// a recycled graph — Reset then rebuilt to the same node count — must
+// not be served a stale schedule or stale cached values.
+func TestScheduleRecycledGraphRegression(t *testing.T) {
+	g := New()
+	x := g.AddInput("x")
+	y := g.AddInput("y")
+	g.AddOutput(g.And(x, y), "o")
+	var s SimScratch
+	in := []uint64{0xF0F0F0F0F0F0F0F0, 0xFF00FF00FF00FF00}
+	got := g.SimulateInto(&s, nil, in)
+	if got[0] != in[0]&in[1] {
+		t.Fatalf("AND sim wrong: %x", got[0])
+	}
+
+	// Recycle: same pointer, same node count, different function.
+	g.Reset()
+	x = g.AddInput("x")
+	y = g.AddInput("y")
+	g.AddOutput(g.Or(x, y).Not(), "o") // NOR = !(x|y); still one AND node
+	if g.NumNodes() != 4 {
+		t.Fatalf("rebuild changed node count: %d", g.NumNodes())
+	}
+	got = g.SimulateInto(&s, got, in)
+	if want := ^(in[0] | in[1]); got[0] != want {
+		t.Fatalf("stale schedule after Reset: got %x want %x", got[0], want)
+	}
+}
+
+// buildRandom constructs a deterministic pseudo-random AIG: plenty of
+// shared logic, complemented edges, and multiple outputs.
+func buildRandom(rng *rand.Rand, nIn, nOut, nGates int) *AIG {
+	g := New()
+	lits := make([]Lit, 0, nIn+nGates)
+	for i := 0; i < nIn; i++ {
+		lits = append(lits, g.AddInput("x"))
+	}
+	for len(lits) < nIn+nGates {
+		a := lits[rng.Intn(len(lits))].NotIf(rng.Intn(2) == 0)
+		b := lits[rng.Intn(len(lits))].NotIf(rng.Intn(2) == 0)
+		nl := g.And(a, b)
+		if nl.Node() >= g.NumInputs()+1 {
+			lits = append(lits, nl)
+		}
+	}
+	for i := 0; i < nOut; i++ {
+		g.AddOutput(lits[len(lits)-1-i].NotIf(i%2 == 1), "o")
+	}
+	return g
+}
+
+// TestSignaturesRowsCacheRegression pins the hazards of the reused row
+// headers in SignaturesInto: the headers alias the scratch value buffer,
+// so a width change must re-stride them, and reusing the scratch on a
+// smaller graph must truncate them — in every case the returned rows
+// must match a cold-scratch computation bit for bit.
+func TestSignaturesRowsCacheRegression(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	g := buildRandom(rng, 9, 4, 80)
+	const seed = 0x5EED
+	var s SimScratch
+
+	check := func(stage string, g *AIG, w int) {
+		t.Helper()
+		got := g.SignaturesInto(&s, rand.New(rand.NewSource(seed)), w)
+		want := g.Signatures(rand.New(rand.NewSource(seed)), w)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d rows, want %d", stage, len(got), len(want))
+		}
+		for id := range want {
+			for k := 0; k < w; k++ {
+				if got[id][k] != want[id][k] {
+					t.Fatalf("%s: node %d word %d: %x != %x", stage, id, k, got[id][k], want[id][k])
+				}
+			}
+		}
+	}
+
+	check("cold", g, 4)
+	// Width change: same backing buffer can hold it, but every header has
+	// the wrong stride now.
+	check("width change", g, 2)
+	// Scratch reuse on a smaller graph: cached rows must truncate.
+	small := buildRandom(rand.New(rand.NewSource(62)), 5, 2, 20)
+	check("smaller graph", small, 2)
+	check("back to original", g, 4)
+}
+
 // TestRebuilderResetMatchesNewRebuilder pins Reset against the
 // constructor: identical mapping state, identical rebuild result.
 func TestRebuilderResetMatchesNewRebuilder(t *testing.T) {

@@ -23,84 +23,36 @@ type simGate struct {
 type SimScratch struct {
 	owner  *AIG
 	gen    uint64
-	shrink uint64
 	nNodes int
 	sched  []simGate
 	vals   []uint64
 	rows   [][]uint64
-
-	// Delta-simulation state: the extent of vals rows that hold valid
-	// node values from the last simulation (simNodes nodes, simSched
-	// schedule entries already evaluated, valsW words per node; valsW 0
-	// means no valid values). When a follow-up call sees the same graph
-	// identity (owner, gen, shrink), a grown node array, and input words
-	// whose clean prefix matches the cached ones, it re-simulates only
-	// the appended suffix against the cached clean-boundary values.
-	simNodes int
-	simSched int
-	valsW    int
-
-	// rows cache identity: rows[id] is the pure function
-	// vals[id*w : id*w+w] of the backing array and width, so the cached
-	// headers stay valid until the value buffer is reallocated or the
-	// width changes. SignaturesInto then maintains only the suffix.
-	rowsBase *uint64
-	rowsW    int
 }
 
-// Reset drops the cached schedule and delta state and releases no
-// memory: buffers are kept for reuse, but the next simulation rebuilds
-// the schedule. Call it after recycling a graph the scratch may have
-// scheduled (AIG.Reset already invalidates the schedule via the graph's
-// generation stamp, so Reset is only needed to drop the scratch's
-// reference to a graph).
+// Reset drops the cached schedule and releases no memory: buffers are
+// kept for reuse, but the next simulation rebuilds the schedule. Call it
+// to drop the scratch's reference to a graph (AIG.Reset already
+// invalidates the schedule via the graph's generation stamp).
 func (s *SimScratch) Reset() {
 	s.owner = nil
 	s.nNodes = 0
 	s.sched = s.sched[:0]
-	s.simNodes, s.simSched, s.valsW = 0, 0, 0
 }
 
 // schedule returns the levelized AND-gate schedule of g, rebuilding it
-// when the scratch last scheduled a different (or since-modified) graph.
-// Ascending node ID is a topological — hence level-respecting — order in
-// an append-only AIG, so the schedule is the AND nodes in ID order with
-// their fanin literals flattened out of the node array.
-//
-// When the scratch last scheduled the same graph identity (pointer,
-// generation, shrink sequence) and the graph has only grown since, the
-// schedule is extended in place with the appended suffix — the clean
-// prefix is reused untouched. Any other change (different graph, Reset,
-// Rollback) rebuilds from scratch and invalidates the delta state.
+// unless the scratch last scheduled the same graph identity (pointer,
+// generation, node count) — between Resets an AIG only grows, so that
+// triple pins its nodes. Ascending node ID is a topological — hence
+// level-respecting — order in an append-only AIG, so the schedule is the
+// AND nodes in ID order with their fanin literals flattened out of the
+// node array.
 //
 //almost:hotpath
 func (s *SimScratch) schedule(g *AIG) []simGate {
-	if s.owner == g && s.gen == g.gen && s.shrink == g.shrink && s.nNodes <= len(g.nodes) {
-		if s.nNodes == len(g.nodes) {
-			return s.sched
-		}
-		// Append-only growth: extend the schedule from the watermark. Grow
-		// with headroom — successive candidates ratchet the AND count up by
-		// a few gates each, and exact-size growth would copy the whole
-		// schedule nearly every call.
-		start := s.nNodes
-		s.nNodes = len(g.nodes)
-		if na := g.NumAnds(); cap(s.sched) < na {
-			grown := make([]simGate, len(s.sched), na+na/8)
-			copy(grown, s.sched)
-			s.sched = grown
-		}
-		for id := start; id < len(g.nodes); id++ {
-			n := &g.nodes[id]
-			if n.kind == KindAnd {
-				//almost:nolint hotpathalloc // appends into the cap-reserved schedule buffer grown above
-				s.sched = append(s.sched, simGate{f0: n.fanin0, f1: n.fanin1, out: int32(id)})
-			}
-		}
+	if s.owner == g && s.gen == g.gen && s.nNodes == len(g.nodes) {
 		return s.sched
 	}
-	s.owner, s.gen, s.shrink, s.nNodes = g, g.gen, g.shrink, len(g.nodes)
-	s.simNodes, s.simSched, s.valsW = 0, 0, 0
+	s.owner, s.gen, s.nNodes = g, g.gen, len(g.nodes)
 	if cap(s.sched) < g.NumAnds() {
 		s.sched = make([]simGate, 0, g.NumAnds())
 	}
@@ -115,61 +67,18 @@ func (s *SimScratch) schedule(g *AIG) []simGate {
 	return s.sched
 }
 
-// buf returns the scratch value buffer resized to n words, preserving
-// existing contents on growth (the cached clean-prefix values are what
-// the delta paths re-simulate against). Growth adds headroom: in the
-// incremental loop each candidate leaves the graph a few nodes larger
-// than the last maximum, and exact-size growth would reallocate (and
-// copy) the whole multi-megabyte buffer nearly every call.
+// buf returns the scratch value buffer resized to n words, reallocating
+// (with headroom, so a scratch that sees slowly growing graphs does not
+// reallocate on every call) only when its capacity is short. Every
+// simulation writes each row before reading it, so stale contents never
+// leak into a result.
 //
 //almost:hotpath
 func (s *SimScratch) buf(n int) []uint64 {
 	if cap(s.vals) < n {
-		grown := make([]uint64, n, n+n/8)
-		copy(grown, s.vals)
-		s.vals = grown
+		s.vals = make([]uint64, n, n+n/8)
 	}
 	return s.vals[:n]
-}
-
-// TrimTo re-validates the scratch's clean prefix after the caller rolled
-// g back to n nodes: the schedule and delta state are truncated to the
-// prefix below n and the scratch adopts the graph's new shrink sequence.
-// Without it a Rollback (which bumps the shrink counter) would force the
-// next simulation to rebuild and re-simulate everything.
-//
-// The caller must own both the graph and the scratch exclusively and n
-// must be at or below every rollback watermark since the scratch's last
-// simulation of g — the incremental evaluation loop guarantees this by
-// calling TrimTo(g, m.Nodes()) immediately after each Rollback(m). If
-// the scratch's cached state does not cover g at all, TrimTo degrades to
-// Reset.
-//
-//almost:hotpath
-func (s *SimScratch) TrimTo(g *AIG, n int) {
-	if s.owner != g || s.gen != g.gen || n > s.nNodes || n > len(g.nodes) {
-		s.Reset()
-		return
-	}
-	s.shrink = g.shrink
-	// Drop schedule entries for truncated nodes (they form a suffix).
-	lo, hi := 0, len(s.sched)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if int(s.sched[mid].out) >= n {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	s.sched = s.sched[:lo]
-	s.nNodes = n
-	if s.simNodes > n {
-		s.simNodes = n
-	}
-	if s.simSched > lo {
-		s.simSched = lo
-	}
 }
 
 // simCore runs the schedule over a node-major value buffer with stride w
@@ -218,46 +127,18 @@ func simCore(sched []simGate, vals []uint64, w int) {
 // dst[:NumOutputs]. With a warm scratch and an adequate dst it performs
 // no allocations. s must not be nil.
 //
-// Delta path: when the scratch's last simulation covered a clean prefix
-// of g (same pointer, generation, and shrink sequence) and every input
-// word for a pre-existing input matches the cached value, only the
-// appended suffix is simulated against the cached clean-boundary values
-// — O(dirty region) instead of O(graph). The fall-back to a full
-// simulation is transparent, so results are bit-for-bit identical either
-// way.
-//
 //almost:hotpath
 func (g *AIG) SimulateInto(s *SimScratch, dst, in []uint64) []uint64 {
 	if len(in) != len(g.pis) {
 		panic(fmt.Sprintf("aig: SimulateInto input width mismatch: %d patterns for %d inputs", len(in), len(g.pis)))
 	}
-	delta := s.owner == g && s.gen == g.gen && s.shrink == g.shrink &&
-		s.valsW == 1 && s.simNodes > 0 && s.simNodes <= len(g.nodes)
-	sched := s.schedule(g) // may clear the delta state; checked above first
+	sched := s.schedule(g)
 	vals := s.buf(len(g.nodes))
-	if delta {
-		for i, id := range g.pis {
-			if id < s.simNodes {
-				if vals[id] != in[i] {
-					delta = false
-					break
-				}
-			} else {
-				vals[id] = in[i]
-			}
-		}
+	vals[0] = 0
+	for i, id := range g.pis {
+		vals[id] = in[i]
 	}
-	start := 0
-	if delta {
-		start = s.simSched
-	} else {
-		vals[0] = 0
-		for i, id := range g.pis {
-			vals[id] = in[i]
-		}
-	}
-	simCore(sched[start:], vals, 1)
-	s.simNodes, s.simSched, s.valsW = len(g.nodes), len(sched), 1
+	simCore(sched, vals, 1)
 	if cap(dst) < len(g.pos) {
 		dst = make([]uint64, len(g.pos))
 	}
@@ -313,7 +194,6 @@ func (g *AIG) SimulateWordsInto(s *SimScratch, dst [][]uint64, in [][]uint64, w 
 		copy(vals[id*w:id*w+w], in[i][:w])
 	}
 	simCore(sched, vals, w)
-	s.simNodes, s.simSched, s.valsW = len(g.nodes), len(sched), w
 	if cap(dst) < len(g.pos) {
 		dst = make([][]uint64, len(g.pos))
 	}
@@ -397,77 +277,32 @@ func RandomPatterns(rng *rand.Rand, nIn int) []uint64 {
 // would make every pair of nodes look equivalent downstream). s must not
 // be nil.
 //
-// Like SimulateInto, SignaturesInto has a transparent delta path: when
-// the scratch's last simulation of g used the same signature width and
-// the freshly drawn input rows for pre-existing inputs reproduce the
-// cached ones (the common case — a fixed-seed rng over an unchanged
-// input prefix), only the appended suffix is re-simulated. The rng is
-// consumed identically on both paths, so seeded results are stable.
-//
 //almost:hotpath
 func (g *AIG) SignaturesInto(s *SimScratch, rng *rand.Rand, w int) [][]uint64 {
 	if w < 1 {
 		panic(fmt.Sprintf("aig: SignaturesInto needs w >= 1 words, got %d", w))
 	}
-	delta := s.owner == g && s.gen == g.gen && s.shrink == g.shrink &&
-		s.valsW == w && s.simNodes > 0 && s.simNodes <= len(g.nodes)
-	sched := s.schedule(g) // may clear the delta state; checked above first
+	sched := s.schedule(g)
 	vals := s.buf(len(g.nodes) * w)
 	// Draw input patterns in input order, matching Signatures' historical
 	// rng consumption exactly so seeded results are stable.
 	for _, id := range g.pis {
 		row := vals[id*w : id*w+w]
-		if delta && id < s.simNodes {
-			for k := range row {
-				v := rng.Uint64()
-				if row[k] != v {
-					delta = false
-				}
-				row[k] = v
-			}
-		} else {
-			for k := range row {
-				row[k] = rng.Uint64()
-			}
+		for k := range row {
+			row[k] = rng.Uint64()
 		}
 	}
-	start := 0
-	if delta {
-		start = s.simSched
-	} else {
-		for k := 0; k < w; k++ {
-			vals[k] = 0
-		}
+	for k := 0; k < w; k++ {
+		vals[k] = 0
 	}
-	simCore(sched[start:], vals, w)
-	s.simNodes, s.simSched, s.valsW = len(g.nodes), len(sched), w
+	simCore(sched, vals, w)
 	n := len(g.nodes)
 	if cap(s.rows) < n {
-		grown := make([][]uint64, len(s.rows), n+n/8)
-		copy(grown, s.rows)
-		s.rows = grown
+		s.rows = make([][]uint64, n, n+n/8)
 	}
-	if s.rowsBase != &vals[0] || s.rowsW != w {
-		// The value buffer moved or the width changed: every cached row
-		// header is stale. Rebuild them all and record the new identity.
-		s.rows = s.rows[:n]
-		for id := range s.rows {
-			s.rows[id] = vals[id*w : id*w+w]
-		}
-		s.rowsBase, s.rowsW = &vals[0], w
-		return s.rows
-	}
-	// Same backing array and width: rows[id] is a pure function of
-	// (base, w, id), so cached headers below n are still correct and only
-	// the suffix needs building — O(appended), not O(graph), which is what
-	// keeps the incremental evaluation loop sub-linear at million-gate
-	// sizes.
-	if len(s.rows) > n {
-		s.rows = s.rows[:n]
-	}
-	for id := len(s.rows); id < n; id++ {
-		//almost:nolint hotpathalloc // appends into the cap-reserved rows buffer grown above
-		s.rows = append(s.rows, vals[id*w:id*w+w])
+	s.rows = s.rows[:n]
+	for id := range s.rows {
+		s.rows[id] = vals[id*w : id*w+w]
 	}
 	return s.rows
 }

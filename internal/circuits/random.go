@@ -82,9 +82,8 @@ func (p DepthProfile) String() string {
 // (at least) targetGates AND nodes, deterministically from rng. Unlike
 // RandomCircuit, whose gate count undershoots its argument when
 // structural hashing folds duplicate draws, this generator keeps drawing
-// until the structural gate count reaches the target — sized synthetic
-// benchmarks (the PR 8 scaling curve) need the x-axis to mean what it
-// says. The depth profile picks the fanin bias; see the DepthProfile
+// until the structural gate count reaches the target — a sized synthetic
+// benchmark must have the gate count its name says. The depth profile picks the fanin bias; see the DepthProfile
 // constants. RandomCircuit is left untouched so the scenario fuzzer's
 // seed streams stay stable.
 func RandomCircuitProfile(rng *rand.Rand, nInputs, nOutputs, targetGates int, profile DepthProfile) *aig.AIG {
@@ -147,8 +146,9 @@ type syntheticProfile struct {
 
 // synthetics registers the sized synthetic presets by name, resolvable
 // through Generate exactly like the ISCAS85 built-ins. Sizes span three
-// decades so the scaling curve has a real x-axis; seeds are fixed so a
-// preset is one reproducible circuit, not a family.
+// decades so size-dependent costs (simulation, synthesis) can be measured
+// well beyond the ISCAS85 range; seeds are fixed so a preset is one
+// reproducible circuit, not a family.
 var synthetics = map[string]syntheticProfile{
 	"rand10k":  {inputs: 64, outputs: 32, gates: 10_000, profile: DepthMixed, seed: 0xA15},
 	"rand100k": {inputs: 128, outputs: 64, gates: 100_000, profile: DepthMixed, seed: 0xA16},

@@ -56,7 +56,7 @@ func TestDepthProfilesAreDistinct(t *testing.T) {
 // TestSyntheticPresetsResolveLikeBuiltins exercises the smallest sized
 // preset through the same Generate entry point the built-ins use. The
 // larger presets share the construction path, differing only in
-// registered size, and are exercised by the scaling benchmark.
+// registered size; rand100k drives the aig wide-simulation benchmark.
 func TestSyntheticPresetsResolveLikeBuiltins(t *testing.T) {
 	names := SyntheticNames()
 	if len(names) != 3 || names[0] != "rand10k" || names[2] != "rand1m" {

@@ -19,8 +19,10 @@ import (
 // searches: recipes, accuracies and full trajectories. They were captured
 // while a second, scalar inference path still existed and every search
 // was proven bit-identical across both; the pins keep that evidence now
-// that only the fused batch path remains. A legitimate change to the
-// search or the model must update them deliberately.
+// that only the fused batch path remains. The pipeline pin was captured
+// likewise while candidate evaluation could still bypass the engine's
+// recipe-prefix chain. A legitimate change to the search or the model
+// must update them deliberately.
 //
 // go test runs a package's files in name order, so this file's name
 // sorts ahead of core_test.go: the pins run before the package's long
@@ -142,5 +144,37 @@ func TestGoldenAdversarialProxy(t *testing.T) {
 	}
 	if got := hex.EncodeToString(h.Sum(nil))[:16]; got != want.probs {
 		t.Errorf("adversarial proxy probabilities drifted: got %s, want %s", got, want.probs)
+	}
+}
+
+// goldenPipeline pins the complete hardening pipeline (adversarial
+// proxy training with its Eq. 3 searches, the Eq. 1 search and the final
+// synthesis) on unlocked c432 with 8 key gates: the chosen recipe, the
+// search accuracy, and the structural digest of the hardened netlist,
+// for the full and the -short tinyConfig.
+var goldenPipeline = map[bool]struct {
+	recipe string
+	acc    float64
+	digest uint64
+}{
+	false: {recipe: "resub; balance; resub -z; rewrite; balance; refactor; resub -z; resub -z; balance; refactor -z", acc: 0.375, digest: 0x2a50a7c7c408cbcc},
+	true:  {recipe: "resub; balance; resub -z; rewrite; balance", acc: 0.5, digest: 0xbdf287200b833de9},
+}
+
+// checkGoldenPipeline requires the pinned recipe, accuracy and hardened
+// netlist structure of hardenT(c432, 8, tinyConfig()). That run is
+// exactly TestSecureSynthesisEndToEnd's, which calls this check, so the
+// pin costs no extra pipeline and is checked early in the package run.
+func checkGoldenPipeline(t *testing.T, h *Hardened) {
+	t.Helper()
+	want := goldenPipeline[testing.Short()]
+	if got := h.Recipe.String(); got != want.recipe {
+		t.Errorf("pipeline recipe drifted from its golden pin:\n got  %s\n want %s", got, want.recipe)
+	}
+	if h.Search.Accuracy != want.acc {
+		t.Errorf("pipeline accuracy drifted from its golden pin: got %v, want %v", h.Search.Accuracy, want.acc)
+	}
+	if got := h.Netlist.StructuralDigest(); got != want.digest {
+		t.Errorf("hardened netlist drifted from its golden pin: digest %#x, want %#x", got, want.digest)
 	}
 }

@@ -34,12 +34,6 @@ import (
 	"github.com/nyu-secml/almost/internal/synth"
 )
 
-// engineOpts is threaded into every engine.New call in this package. It
-// is empty in production; the determinism suites set it (to
-// engine.WithoutPrefixReuse) to prove that full search trajectories are
-// bit-for-bit identical with the incremental prefix-reuse path disabled.
-var engineOpts []engine.Option
-
 // ModelKind selects the proxy-attacker training regime (Table I).
 type ModelKind int
 
@@ -364,7 +358,7 @@ func trainAdversarialCtx(ctx context.Context, locked *aig.AIG, cfg Config,
 			relocked, keyOrder, bits := lock.Relock(locked, cfg.AdvGates, rng)
 			init := synth.RandomRecipe(recipeRng, cfg.RecipeLen)
 			res, err := func() (anneal.Result[synth.Recipe], error) {
-				eng := engine.New(relocked, cfg.Parallelism, advEnergy(model, keyOrder, bits, ext), engineOpts...)
+				eng := engine.New(relocked, cfg.Parallelism, advEnergy(model, keyOrder, bits, ext))
 				defer eng.Close()
 				saCfg := anneal.Config{Iterations: cfg.AdvSAIters, InitTemp: cfg.SA.InitTemp,
 					Acceptance: cfg.SA.Acceptance}
@@ -613,7 +607,7 @@ func SearchRecipeCtx(ctx context.Context, locked *aig.AIG, truth lock.Key,
 		prob.accs.Store(engine.RecipeKey(r), accs)
 		s.Release(net)
 		return prob.reduceEnergy(accs)
-	}, engineOpts...)
+	})
 	defer eng.Close()
 	prob.eng = eng
 	rng := rand.New(rand.NewSource(cfg.Seed + 307))

@@ -258,6 +258,7 @@ func TestSecureSynthesisEndToEnd(t *testing.T) {
 	if h.Proxy.Kind != ModelAdversarial {
 		t.Fatalf("pipeline must use M*")
 	}
+	checkGoldenPipeline(t, h)
 }
 
 func TestPaperConfigMatchesPaper(t *testing.T) {

@@ -10,17 +10,6 @@ import (
 	"github.com/nyu-secml/almost/internal/synth"
 )
 
-// withPlainEngines disables the engine's incremental prefix-reuse path
-// for the duration of fn, restoring the production default afterwards.
-// The determinism suites use it to prove search trajectories are
-// identical with and without incremental evaluation.
-func withPlainEngines(fn func()) {
-	saved := engineOpts
-	engineOpts = []engine.Option{engine.WithoutPrefixReuse()}
-	defer func() { engineOpts = saved }()
-	fn()
-}
-
 // identityRecipes is a prefix-sharing pair plus the baseline: the shapes
 // the annealer actually produces, so the chained path exercises both a
 // reused prefix and a divergence point on every circuit.
@@ -31,12 +20,13 @@ func identityRecipes() []synth.Recipe {
 	return []synth.Recipe{base, mut, {synth.StepRewrite, synth.StepResub, synth.StepBalance}}
 }
 
-// TestIncrementalDigestIdentityAllBuiltins is the satellite bit-identity
-// sweep: on every built-in benchmark, locked and unlocked, synthesizing
-// through the incremental prefix-chain scratch must produce netlists
-// structurally identical (digest-for-digest) to the plain run-from-base
-// path.
-func TestIncrementalDigestIdentityAllBuiltins(t *testing.T) {
+// TestPrefixChainDigestIdentityAllBuiltins is the bit-identity sweep for
+// candidate evaluation: on every built-in benchmark, locked and
+// unlocked, synthesizing a chain of recipes through one engine scratch
+// (which resumes each recipe from the longest prefix it shares with the
+// previous one) must produce netlists structurally identical
+// (digest-for-digest) to running each recipe on a fresh clone.
+func TestPrefixChainDigestIdentityAllBuiltins(t *testing.T) {
 	names := circuits.Names()
 	if testing.Short() {
 		names = names[:4]
@@ -48,76 +38,14 @@ func TestIncrementalDigestIdentityAllBuiltins(t *testing.T) {
 			if locked {
 				g, _ = lock.Lock(g, 8, rand.New(rand.NewSource(41)))
 			}
-			chained := engine.NewScratch(g, true)
-			plain := engine.NewScratch(g, false)
+			chained := engine.NewScratch(g)
 			for ri, r := range rs {
 				nc := chained.Synth(r)
-				np := plain.Synth(r)
-				if nc.StructuralDigest() != np.StructuralDigest() {
-					t.Fatalf("%s locked=%v recipe %d: incremental and full paths diverged", name, locked, ri)
+				if nc.StructuralDigest() != r.Run(g.Clone(), nil).StructuralDigest() {
+					t.Fatalf("%s locked=%v recipe %d: prefix-chained and fresh runs diverged", name, locked, ri)
 				}
 				chained.Release(nc)
-				plain.Release(np)
 			}
 		}
-	}
-}
-
-// TestSearchTrajectoryIdentityWithoutPrefixReuse wires incremental-vs-
-// full identity into the search determinism suite: the complete
-// SearchRecipe trajectory (every iteration's recipe and accuracy) must
-// be bit-for-bit identical whether candidate evaluation reuses recipe
-// prefixes against the persistent base or re-synthesizes from scratch.
-func TestSearchTrajectoryIdentityWithoutPrefixReuse(t *testing.T) {
-	g := circuits.MustGenerate("c432")
-	locked, key := lock.Lock(g, 8, rand.New(rand.NewSource(47)))
-	cfg := tinyConfig()
-	proxy := trainProxyT(t, locked, ModelResyn2, cfg)
-
-	incr := searchT(t, locked, key, proxy, cfg)
-	var full SearchResult
-	withPlainEngines(func() {
-		full = searchT(t, locked, key, proxy, cfg)
-	})
-
-	if !incr.Recipe.Equal(full.Recipe) {
-		t.Fatalf("incremental and full searches found different recipes:\n  %s\n  %s",
-			incr.Recipe, full.Recipe)
-	}
-	if incr.Accuracy != full.Accuracy {
-		t.Fatalf("accuracy differs: %v vs %v", incr.Accuracy, full.Accuracy)
-	}
-	if len(incr.Trace) != len(full.Trace) {
-		t.Fatalf("trace lengths differ: %d vs %d", len(incr.Trace), len(full.Trace))
-	}
-	for i := range incr.Trace {
-		if incr.Trace[i].Accuracy != full.Trace[i].Accuracy ||
-			!incr.Trace[i].Recipe.Equal(full.Trace[i].Recipe) {
-			t.Fatalf("trajectory diverges at iteration %d", i)
-		}
-	}
-}
-
-// TestPipelineIdentityWithoutPrefixReuse extends the invariance to the
-// full pipeline, adversarial Eq. 3 searches included.
-func TestPipelineIdentityWithoutPrefixReuse(t *testing.T) {
-	if testing.Short() || raceEnabled {
-		t.Skip("full-pipeline identity check in -short mode or under -race")
-	}
-	g := circuits.MustGenerate("c432")
-	cfg := tinyConfig()
-	incr := hardenT(t, g, 8, cfg)
-	var full *Hardened
-	withPlainEngines(func() {
-		full = hardenT(t, g, 8, cfg)
-	})
-	if !incr.Recipe.Equal(full.Recipe) {
-		t.Fatalf("incremental and full pipelines diverged:\n  %s\n  %s", incr.Recipe, full.Recipe)
-	}
-	if incr.Search.Accuracy != full.Search.Accuracy {
-		t.Fatalf("accuracy differs: %v vs %v", incr.Search.Accuracy, full.Search.Accuracy)
-	}
-	if incr.Netlist.StructuralDigest() != full.Netlist.StructuralDigest() {
-		t.Fatal("hardened netlists differ structurally between incremental and full paths")
 	}
 }

@@ -24,11 +24,11 @@
 // are bit-for-bit identical for any worker count, which is what lets
 // anneal.RunParallel promise jobs-independent search trajectories.
 //
-// Allocation contract: worker state (netlist clone, synthesis arena, sim
-// scratch) is pooled across batches, cache lookups build their key into
-// a stack buffer, and a settled hit via Evaluate/EvaluateCtx/Cached
-// allocates nothing — the steady-state cost of the annealer revisiting a
-// recipe is one mutex-guarded map probe.
+// Allocation contract: worker state (netlist clone, synthesis arena,
+// recipe-prefix chain) is pooled across batches, cache lookups build
+// their key into a stack buffer, and a settled hit via
+// Evaluate/EvaluateCtx/Cached allocates nothing — the steady-state cost
+// of the annealer revisiting a recipe is one mutex-guarded map probe.
 package engine
 
 import (
@@ -41,13 +41,12 @@ import (
 )
 
 // Scratch is the reusable per-worker state handed to every EvalFunc
-// call: a worker-private clone of the base netlist plus warm scratch
-// buffers for synthesis and simulation. Scratches are pooled (sync.Pool)
-// across batches, so a long-lived evaluator reaches a zero-allocation
-// steady state: the arena recycles every intermediate netlist of a
-// recipe, the sim scratch reuses its schedule and value buffers, and Aux
-// lets an EvalFunc stash its own per-worker state (core keeps a GNN
-// inference scratch there).
+// call: a worker-private clone of the base netlist plus a warm synthesis
+// arena. Scratches are pooled (sync.Pool) across batches, so a
+// long-lived evaluator reaches a zero-allocation steady state: the arena
+// recycles every intermediate netlist of a recipe, and Aux lets an
+// EvalFunc stash its own per-worker state (core keeps a GNN inference
+// scratch there).
 //
 // A Scratch is confined to one evaluation at a time — EvalFuncs may use
 // it freely without synchronization but must not retain any part of it
@@ -58,9 +57,6 @@ type Scratch struct {
 	// Arena pools synthesis storage; score netlists with s.Synth(r) and
 	// hand the result to s.Release once scored.
 	Arena *synth.Arena
-	// Sim pools simulation schedules and buffers for the Into-style
-	// aig APIs.
-	Sim *aig.SimScratch
 	// Aux is EvalFunc-owned per-worker state, lazily initialized by the
 	// EvalFunc itself (it starts nil on a fresh scratch).
 	Aux any
@@ -68,9 +64,6 @@ type Scratch struct {
 	// epoch identifies which evaluator base s.g is a clone of; workers
 	// re-clone lazily when a Rebase bumps the evaluator's epoch.
 	epoch uint64
-	// prefix enables the recipe-prefix chain below (disabled by
-	// WithoutPrefixReuse).
-	prefix bool
 	// chainSteps/chainNets cache the per-step intermediate netlists of
 	// the most recent Synth call: chainNets[i] is chainSteps[:i+1] run
 	// against the base. The annealer's neighborhood move redraws one
@@ -84,17 +77,13 @@ type Scratch struct {
 
 // Synth synthesizes recipe r against the worker's base netlist and
 // returns the result, reusing the longest shared recipe prefix from the
-// previous Synth call on this scratch (unless prefix reuse is disabled,
-// in which case it is exactly r.Run(s.g, s.Arena)). The returned graph
-// is owned by the scratch's chain — score it, then hand it to s.Release
-// and do not retain it past the EvalFunc call. An empty recipe returns
-// the base itself. Results are bit-for-bit identical with and without
-// prefix reuse: every chained intermediate is the deterministic product
+// previous Synth call on this scratch. The returned graph is owned by
+// the scratch's chain — score it, then hand it to s.Release and do not
+// retain it past the EvalFunc call. An empty recipe returns the base
+// itself. The result is bit-for-bit identical to r.Run on a fresh clone
+// of the base: every chained intermediate is the deterministic product
 // of its step prefix against the same base content.
 func (s *Scratch) Synth(r synth.Recipe) *aig.AIG {
-	if !s.prefix {
-		return r.Run(s.g, s.Arena)
-	}
 	p := 0
 	for p < len(r) && p < len(s.chainSteps) && r[p] == s.chainSteps[p] {
 		p++
@@ -156,29 +145,21 @@ func (s *Scratch) syncBase(base *aig.AIG, epoch uint64) {
 		s.Arena.Recycle(s.g)
 	}
 	s.g = base.Clone()
-	s.Sim.Reset()
 	s.epoch = epoch
 }
 
 // NewScratch builds a standalone scratch over its own clone of base,
 // outside any evaluator. Benchmarks and identity tests use it to drive
-// the Synth/Release path directly; prefixReuse selects the incremental
-// prefix chain exactly as WithoutPrefixReuse does for an evaluator's
-// workers.
-func NewScratch(base *aig.AIG, prefixReuse bool) *Scratch {
-	return &Scratch{
-		g:      base.Clone(),
-		Arena:  synth.NewArena(),
-		Sim:    &aig.SimScratch{},
-		prefix: prefixReuse,
-	}
+// the Synth/Release path directly, exactly as an evaluator's workers do.
+func NewScratch(base *aig.AIG) *Scratch {
+	return &Scratch{g: base.Clone(), Arena: synth.NewArena()}
 }
 
 // EvalFunc scores one recipe. g is a worker-private copy of the base
 // netlist handed to New and s is the worker's scratch state, so
 // implementations may synthesize from g and allocate from s freely
 // without synchronization; they must not retain g or s (or anything
-// handed out by s.Arena/s.Sim) past the call, must not mutate captured
+// handed out by s.Arena) past the call, must not mutate captured
 // shared state, and the returned score must be a pure function of (g, r)
 // alone — never of scratch contents — so results are bit-for-bit
 // identical for any worker count.
@@ -209,8 +190,7 @@ func appendRecipeKey(dst []byte, r synth.Recipe) []byte {
 
 // appendEvalKey appends the evaluator cache key of (base, recipe) to
 // dst: the 8-byte structural digest of the base netlist followed by the
-// recipe's step codes — (base digest, delta digest) in the incremental
-// evaluation contract. Scores cached against one base can never answer
+// recipe's step codes. Scores cached against one base can never answer
 // a lookup against another, and after Rebase returns to an
 // already-digested base its settled scores become hits again.
 //
@@ -286,12 +266,11 @@ func (en *entry) settled() bool {
 // for the settled value. Create with New, release with Close. All
 // methods are safe for concurrent use.
 type Evaluator struct {
-	jobs     int
-	fn       EvalFunc
-	noPrefix bool
-	reqs     chan job
-	wg       sync.WaitGroup
-	scratch  sync.Pool // of *Scratch; workers clone the base lazily via syncBase
+	jobs    int
+	fn      EvalFunc
+	reqs    chan job
+	wg      sync.WaitGroup
+	scratch sync.Pool // of *Scratch; workers clone the base lazily via syncBase
 
 	mu      sync.Mutex
 	base    *aig.AIG
@@ -303,32 +282,20 @@ type Evaluator struct {
 	settled int
 }
 
-// Option configures an Evaluator at construction.
-type Option func(*Evaluator)
-
-// WithoutPrefixReuse disables the per-worker recipe-prefix chain:
-// Scratch.Synth degenerates to r.Run from the base clone and
-// Scratch.Release recycles every non-base net. Scores are bit-for-bit
-// identical either way (the identity tests pin this); the option exists
-// for those tests and for memory-constrained runs — the chain retains up
-// to one intermediate netlist per recipe step per worker.
-func WithoutPrefixReuse() Option {
-	return func(e *Evaluator) { e.noPrefix = true }
-}
-
 // New builds an evaluator over base with the given worker count (jobs <= 0
 // selects runtime.NumCPU()). Worker scratch state — a private Clone of
 // base plus synthesis/simulation buffers — comes from a sync.Pool: each
 // worker checks one out for its lifetime, so scratches (and their
 // warmed arenas and prefix chains) survive across batches instead of
-// being rebuilt per evaluation. Every e.fn invocation happens on a
+// being rebuilt per evaluation. Each worker's prefix chain retains up to
+// one intermediate netlist per recipe step. Every e.fn invocation happens on a
 // worker goroutine with that worker's scratch; there is no inline
 // evaluation path.
 //
 // Cache keys compose the base's structural digest with the recipe (see
 // appendEvalKey), so an evaluator that is Rebased between batches keeps
 // one coherent cache across all bases it has seen.
-func New(base *aig.AIG, jobs int, fn EvalFunc, opts ...Option) *Evaluator {
+func New(base *aig.AIG, jobs int, fn EvalFunc) *Evaluator {
 	if jobs <= 0 {
 		jobs = runtime.NumCPU()
 	}
@@ -341,11 +308,8 @@ func New(base *aig.AIG, jobs int, fn EvalFunc, opts ...Option) *Evaluator {
 		reqs:    make(chan job),
 		cache:   make(map[string]*entry),
 	}
-	for _, o := range opts {
-		o(e)
-	}
 	e.scratch.New = func() any {
-		return &Scratch{Arena: synth.NewArena(), Sim: &aig.SimScratch{}, prefix: !e.noPrefix}
+		return &Scratch{Arena: synth.NewArena()}
 	}
 	for i := 0; i < jobs; i++ {
 		e.wg.Add(1)

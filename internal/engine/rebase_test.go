@@ -8,8 +8,8 @@ import (
 	"github.com/nyu-secml/almost/internal/synth"
 )
 
-// synthEval is sizeEval written against the Scratch ownership API the
-// incremental path uses: Synth (prefix-chain aware) + Release.
+// synthEval is sizeEval written against the Scratch ownership API every
+// production EvalFunc uses: Synth (prefix-chain aware) + Release.
 func synthEval(g *aig.AIG, s *Scratch, r synth.Recipe) float64 {
 	net := s.Synth(r)
 	v := float64(net.NumAnds())
@@ -107,11 +107,11 @@ func TestRebaseBatchSeesNewBase(t *testing.T) {
 	}
 }
 
-// TestSynthPrefixReuseIdentity is the PR 8 bit-identity invariant at the
-// engine layer: scoring a neighborhood-style sequence of recipes (each a
-// one-step edit of the last, as the annealer proposes them) through the
-// prefix chain must produce exactly the scores of the plain
-// run-from-base path.
+// TestSynthPrefixReuseIdentity is the prefix-chain bit-identity
+// invariant at the engine layer: scoring a neighborhood-style sequence of
+// recipes (each a one-step edit of the last, as the annealer proposes
+// them) through the prefix chain must produce exactly the scores of
+// running each recipe on a fresh copy of the base.
 func TestSynthPrefixReuseIdentity(t *testing.T) {
 	base := circuits.MustGenerate("c499")
 	// A neighborhood walk: consecutive recipes share long prefixes, plus
@@ -126,28 +126,16 @@ func TestSynthPrefixReuseIdentity(t *testing.T) {
 		synth.Resyn2(),
 		synth.Resyn2(), // repeat: full prefix hit inside the scratch
 	}
-	score := func(opts ...Option) []float64 {
-		e := New(base, 1, synthEval, opts...)
-		defer e.Close()
-		out := make([]float64, len(walk))
-		for i, r := range walk {
-			// Evaluate through the cache would dedup the repeated recipe;
-			// bypass it so every walk step exercises Synth.
-			e.mu.Lock()
-			e.cache = make(map[string]*entry)
-			e.mu.Unlock()
-			out[i] = e.Evaluate(r)
-		}
-		return out
-	}
-	chained := score()
-	plain := score(WithoutPrefixReuse())
-	for i := range walk {
-		if chained[i] != plain[i] {
-			t.Fatalf("walk step %d (%v): chained %v != plain %v", i, walk[i], chained[i], plain[i])
-		}
-		if want := sizeOf(base, walk[i]); chained[i] != want {
-			t.Fatalf("walk step %d (%v): %v, want reference %v", i, walk[i], chained[i], want)
+	e := New(base, 1, synthEval)
+	defer e.Close()
+	for i, r := range walk {
+		// Evaluate through the cache would dedup the repeated recipe;
+		// bypass it so every walk step exercises Synth.
+		e.mu.Lock()
+		e.cache = make(map[string]*entry)
+		e.mu.Unlock()
+		if got, want := e.Evaluate(r), sizeOf(base, r); got != want {
+			t.Fatalf("walk step %d (%v): %v, want reference %v", i, r, got, want)
 		}
 	}
 }
@@ -158,7 +146,7 @@ func TestSynthPrefixReuseIdentity(t *testing.T) {
 // pointers across consecutive calls.
 func TestScratchChainReusesIntermediates(t *testing.T) {
 	base := circuits.MustGenerate("c432")
-	s := &Scratch{g: base.Clone(), Arena: synth.NewArena(), Sim: &aig.SimScratch{}, prefix: true}
+	s := NewScratch(base)
 	r1 := synth.Recipe{synth.StepBalance, synth.StepRewrite, synth.StepResub}
 	n1 := s.Synth(r1)
 	if len(s.chainNets) != 3 || s.chainNets[2] != n1 {

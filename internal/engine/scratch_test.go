@@ -54,15 +54,15 @@ func TestEmptyRecipeDoesNotCorruptWorkerClone(t *testing.T) {
 }
 
 // TestScratchIsPerWorkerAndReused pins the scratch pooling contract:
-// every EvalFunc invocation sees a non-nil scratch with a ready arena
-// and sim scratch, the Aux slot persists across evaluations on the same
+// every EvalFunc invocation sees a non-nil scratch with a ready arena,
+// the Aux slot persists across evaluations on the same
 // worker, and the worker-private netlist is a faithful clone of base.
 func TestScratchIsPerWorkerAndReused(t *testing.T) {
 	base := circuits.MustGenerate("c432")
 	type marker struct{ evals int }
 	seen := make(chan *Scratch, 64)
 	e := New(base, 1, func(g *aig.AIG, s *Scratch, r synth.Recipe) float64 {
-		if s == nil || s.Arena == nil || s.Sim == nil {
+		if s == nil || s.Arena == nil {
 			t.Error("worker scratch not initialized")
 		}
 		if g.NumNodes() != base.NumNodes() {

@@ -85,11 +85,20 @@ func TestServerLockRoundTrip(t *testing.T) {
 // TestServerErrors checks that the error taxonomy crosses the wire:
 // sentinel errors match with errors.Is on the client side.
 func TestServerErrors(t *testing.T) {
-	_, client := newTestServer(t, SchedulerConfig{PoolSize: 1})
+	sched, client := newTestServer(t, SchedulerConfig{PoolSize: 1})
 	ctx := context.Background()
 
 	if _, err := client.Submit(ctx, JobSpec{Kind: "bogus"}); !errors.Is(err, ErrBadSpec) {
 		t.Fatalf("bad spec over the wire: %v", err)
+	}
+	// An unknown circuit name is refused at submit time (400 over the
+	// wire), not queued to fail later on a worker.
+	unknown := JobSpec{Kind: KindLock, Circuit: "c999"}
+	if _, err := sched.Submit(unknown); !errors.Is(err, ErrBadSpec) {
+		t.Fatalf("unknown circuit: Scheduler.Submit returned %v, want ErrBadSpec", err)
+	}
+	if _, err := client.Submit(ctx, unknown); !errors.Is(err, ErrBadSpec) {
+		t.Fatalf("unknown circuit over the wire: %v", err)
 	}
 	if _, err := client.Status(ctx, "job-999999"); !errors.Is(err, ErrNoSuchJob) {
 		t.Fatalf("missing job over the wire: %v", err)

@@ -29,11 +29,13 @@ package service
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
+	"github.com/nyu-secml/almost/internal/circuits"
 	"github.com/nyu-secml/almost/internal/core"
 )
 
@@ -308,6 +310,11 @@ func (s JobSpec) Validate() error {
 	}
 	if (s.Circuit == "") == (s.Netlist == "") {
 		return badSpec("exactly one of circuit and netlist must be set")
+	}
+	if s.Circuit != "" && !slices.Contains(circuits.Names(), s.Circuit) &&
+		!slices.Contains(circuits.SyntheticNames(), s.Circuit) {
+		return badSpec("unknown circuit %q (built-in: %s; synthetic: %s)", s.Circuit,
+			strings.Join(circuits.Names(), ", "), strings.Join(circuits.SyntheticNames(), ", "))
 	}
 	if s.Netlist != "" {
 		switch s.Format {

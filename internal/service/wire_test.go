@@ -111,6 +111,8 @@ func TestJobSpecValidate(t *testing.T) {
 		{"no kind", JobSpec{Circuit: "c432"}, false},
 		{"both inputs", JobSpec{Kind: KindLock, Circuit: "c432", Netlist: "INPUT(a)"}, false},
 		{"neither input", JobSpec{Kind: KindLock}, false},
+		{"unknown circuit", JobSpec{Kind: KindLock, Circuit: "c999"}, false},
+		{"synthetic circuit", JobSpec{Kind: KindLock, Circuit: "rand10k"}, true},
 		{"netlist without format", JobSpec{Kind: KindLock, Netlist: "INPUT(a)"}, false},
 		{"bad format", JobSpec{Kind: KindLock, Netlist: "x", Format: "verilog"}, false},
 		{"bad locker", JobSpec{Kind: KindLock, Circuit: "c432", Lockers: []string{"nope"}}, false},

@@ -77,21 +77,6 @@ type Arena struct {
 	// Resub buffers.
 	byKey  map[uint64][]int
 	negBuf []uint64
-
-	// Windowed-transform buffers (window.go): dirty-region live flags,
-	// traversal order, substitution map, and fanout counts (indexed by
-	// id - watermark), dirty output indices, the balance absorption
-	// flags, and the window resub table with its leaf storage. They stay
-	// valid across the steps of a windowed recipe — the region view is
-	// recomputed per step, but the storage never reallocates once warm.
-	wLive      []bool
-	wOrder     []int
-	wMap       []aig.Lit
-	wFc        []int
-	wOuts      []int
-	wAbs       []bool
-	wEnt       []winEntry
-	wLeafStore []int
 }
 
 // NewArena returns an empty arena. Buffers are grown lazily on first use.
